@@ -150,11 +150,6 @@ impl FailureDetector {
         }
     }
 
-    /// The options the detector was built with.
-    pub fn opts(&self) -> &DetectorOpts {
-        &self.opts
-    }
-
     /// Records a liveness proof from `from` at `now_us` — a heartbeat, or *any* frame
     /// (every message a peer sends proves it is alive, so embedders feed all arrivals
     /// through here). Returns the `Unsuspect` event if the peer was suspected.
@@ -214,22 +209,6 @@ impl FailureDetector {
             .filter(|(_, peer)| peer.suspected)
             .map(|(&p, _)| p)
             .collect()
-    }
-
-    /// Resets `p`'s arrival state (e.g. when the embedder restarts a peer and wants to
-    /// grant it a fresh grace period without waiting for its first heartbeat).
-    pub fn reset_peer(&mut self, p: ProcessId, now_us: u64) -> Option<DetectorEvent> {
-        let seed_mean = self.opts.heartbeat_interval_us as f64;
-        let peer = self.peers.get_mut(&p)?;
-        peer.last_us = now_us;
-        peer.mean_us = seed_mean;
-        if peer.suspected {
-            peer.suspected = false;
-            self.stats.wrong_suspicions += 1;
-            Some(DetectorEvent::Unsuspect(p))
-        } else {
-            None
-        }
     }
 
     /// Activity counters so far.
@@ -372,9 +351,6 @@ mod tests {
         assert!(d.tick(deadline - 1).is_empty(), "not before the deadline");
         assert_eq!(d.tick(deadline), vec![DetectorEvent::Suspect(7)]);
         assert_eq!(d.next_deadline(), None, "every peer suspected");
-        // A restart grant resets the grace period.
-        assert_eq!(d.reset_peer(7, deadline), Some(DetectorEvent::Unsuspect(7)));
-        assert!(d.next_deadline().is_some());
     }
 
     /// Unknown peers are ignored — clients and control frames must not distort state.

@@ -305,7 +305,7 @@ impl History {
 
     /// The history viewed as atomic multi-key transactions: per `(shard, key)` access
     /// footprints with observed entry/exit values, derived from the client-visible
-    /// outputs (see [`key_accesses`] for the derivation rules).
+    /// outputs (see `key_accesses` for the derivation rules).
     pub fn transactions(&self) -> Vec<Txn> {
         self.invocations
             .iter()

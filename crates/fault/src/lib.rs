@@ -19,7 +19,9 @@
 //!   cycle with the operations involved;
 //! * [`detector`] — a timeout-based, heartbeat-fed failure detector that replaces the
 //!   perfect suspicion oracle of earlier PRs: wrong suspicions become possible, which
-//!   is precisely the adversity the recovery ballot races must absorb.
+//!   is precisely the adversity the recovery ballot races must absorb;
+//! * [`replica`] — the replica lifecycle (boot order, suspicion plumbing) and the
+//!   client-completion rule that the simulator and the networked runtime share.
 //!
 //! Everything is deterministic given a seed, so a failing schedule replays exactly.
 //!
@@ -53,9 +55,11 @@
 pub mod detector;
 pub mod history;
 pub mod nemesis;
+pub mod replica;
 pub mod serializability;
 
 pub use detector::{DetectorEvent, DetectorOpts, DetectorStats, FailureDetector};
 pub use history::{CheckSummary, History, Violation};
 pub use nemesis::{FaultEvent, FaultSummary, Nemesis, NemesisSchedule, RandomNemesisOpts};
+pub use replica::{closest_live, Notice, Replica, Watch};
 pub use serializability::{CycleEdge, EdgeKind, SerSummary};

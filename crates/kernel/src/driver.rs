@@ -5,7 +5,7 @@
 //!
 //! * `Send` actions are collected into [`Output::sends`] for the embedding scheduler to
 //!   transport (FIFO queue in [`crate::harness::LocalCluster`], latency-modelled event
-//!   queue in `tempo-sim`, channels in `tempo-runtime`);
+//!   queue in `tempo-sim`, TCP transports in `tempo-runtime`);
 //! * `Deliver` actions are collected into [`Output::executed`] — the push-based
 //!   completion stream that replaced v1's `drain_executed` polling;
 //! * `Schedule` actions are absorbed into the driver's timer queue; the scheduler asks

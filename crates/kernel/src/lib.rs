@@ -12,7 +12,7 @@
 //!   (`submit`/`handle`/`timer`), the [`Executor`] *execution* trait,
 //!   and the typed [`Action`] model (`Send` / `Deliver` / `Schedule`),
 //! * [`driver`] — the generic [`Driver`] event-dispatch core that the
-//!   simulator, the threaded runtime and the test harness all schedule over,
+//!   simulator, the networked runtime and the test harness all schedule over,
 //! * [`harness`] — [`LocalCluster`](harness::LocalCluster), a synchronous FIFO cluster
 //!   for protocol unit tests,
 //! * [`kvstore`] — the deterministic in-memory key-value store used as the replicated

@@ -4,7 +4,7 @@
 //! machine*: it consumes client submissions, peer messages and timer firings, and emits
 //! typed [`Action`]s — messages to send, executed commands to deliver, and timers to
 //! schedule. The same state machine is driven, unchanged, by the discrete-event simulator
-//! (`tempo-sim`), the threaded cluster runtime (`tempo-runtime`) and the synchronous test
+//! (`tempo-sim`), the networked cluster runtime (`tempo-runtime`) and the synchronous test
 //! harness ([`crate::harness::LocalCluster`]) — mirroring the simulator/cluster/cloud
 //! modes of the paper's evaluation framework (§6.1). All three are thin schedulers over
 //! the shared [`crate::driver::Driver`] dispatch core.
@@ -155,6 +155,38 @@ impl ProtocolMetrics {
         } else {
             self.fast_paths as f64 / total as f64
         }
+    }
+
+    /// Adds `other`'s counters into this one (aggregation across processes and
+    /// incarnations). The destructuring makes a new field a compile error here until
+    /// it is summed too.
+    pub fn merge(&mut self, other: &ProtocolMetrics) {
+        let ProtocolMetrics {
+            fast_paths,
+            slow_paths,
+            committed,
+            executed,
+            recoveries_started,
+            recoveries_completed,
+            gc_collected,
+            gc_messages,
+            messages_sent,
+            wal_appends,
+            wal_bytes,
+            snapshots_taken,
+        } = other;
+        self.fast_paths += fast_paths;
+        self.slow_paths += slow_paths;
+        self.committed += committed;
+        self.executed += executed;
+        self.recoveries_started += recoveries_started;
+        self.recoveries_completed += recoveries_completed;
+        self.gc_collected += gc_collected;
+        self.gc_messages += gc_messages;
+        self.messages_sent += messages_sent;
+        self.wal_appends += wal_appends;
+        self.wal_bytes += wal_bytes;
+        self.snapshots_taken += snapshots_taken;
     }
 }
 

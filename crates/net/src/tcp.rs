@@ -432,10 +432,12 @@ impl Transport for TcpTransport {
     }
 
     fn send(&mut self, to: ProcessId, payload: &[u8]) {
-        debug_assert!(
-            payload.len() <= MAX_FRAME_LEN,
-            "frame exceeds MAX_FRAME_LEN"
-        );
+        if payload.len() > MAX_FRAME_LEN {
+            // The receiver would count it corrupt and close the connection, losing
+            // every frame coalesced with it: drop the one frame here instead.
+            self.stats.frames_dropped.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
         let (buf, count, incarnation) = self.pending.entry(to).or_default();
         if buf.is_empty() {
             // Stamp the blob with the destination's incarnation *now*: if the peer
@@ -770,5 +772,20 @@ mod tests {
             "connection must be closed"
         );
         assert_eq!(b.stats().frames_corrupt, 1);
+    }
+
+    #[test]
+    fn oversized_frames_are_dropped_at_the_sender() {
+        let mesh = TcpMesh::new();
+        let mut a = mesh.endpoint(70, true).unwrap();
+        let mut b = mesh.endpoint(71, true).unwrap();
+        a.send(71, &vec![0u8; MAX_FRAME_LEN + 1]);
+        a.send(71, b"small");
+        a.flush();
+        let (from, payload) = b.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!((from, payload.as_slice()), (70, b"small".as_slice()));
+        assert_eq!(a.stats().frames_dropped, 1);
+        assert_eq!(a.stats().frames_sent, 1);
+        assert_eq!(b.stats().frames_corrupt, 0);
     }
 }

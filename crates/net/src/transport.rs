@@ -58,7 +58,8 @@ pub struct TransportStats {
     pub frames_received: u64,
     /// Payload bytes received.
     pub bytes_received: u64,
-    /// Frames dropped before reaching the peer (unreachable, disconnected, or chaos).
+    /// Frames dropped before reaching the peer (unreachable, disconnected, chaos, or
+    /// larger than `MAX_FRAME_LEN`).
     pub frames_dropped: u64,
     /// The subset of `frames_dropped` discarded because they were addressed to a peer
     /// incarnation that has since been replaced (restart-reconnect hygiene): a frame

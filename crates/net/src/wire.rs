@@ -32,7 +32,8 @@ pub use tempo_store::wal::{DecodeError, Reader, Writer};
 
 /// Upper bound on a frame payload read from a socket (64 MiB). A corrupt length
 /// prefix larger than this closes the connection instead of attempting the
-/// allocation; real frames (largest: an `MState` image) stay far below it.
+/// allocation; real frames (largest: an `MState` image) stay far below it. A sender
+/// drops a larger frame instead of writing it.
 pub const MAX_FRAME_LEN: usize = 64 << 20;
 
 /// A value that can be encoded to / decoded from the wire.

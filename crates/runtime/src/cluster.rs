@@ -3,7 +3,8 @@
 //! # Anatomy of a run
 //!
 //! * **Replicas.** Each process of the [`Config`] runs one thread owning a
-//!   [`Driver`] and a transport endpoint. The loop mirrors the simulator's event
+//!   [`Replica`] (the driver, tracer and failure detector, booted and fed exactly as
+//!   the simulator does) and a transport endpoint. The loop mirrors the simulator's event
 //!   dispatch: fire due protocol timers, otherwise block on the transport until the
 //!   next timer deadline; every driver step's sends are encoded once per message and
 //!   flushed as one batch per peer (the transport's write coalescing), and its
@@ -12,9 +13,10 @@
 //!   §6 carries over to real sockets and real fsyncs unchanged.
 //! * **Clients.** [`ClientSession`]s own their own endpoints (ids above
 //!   [`CLIENT_ID_BASE`]). A submission goes to the closest live replica of the
-//!   command's target shard; completion requires an execution notice from the watched
-//!   (closest live) replica of *every* accessed shard — the simulator's semantics,
-//!   including failover after a crash and timeout-then-abort for stranded commands.
+//!   command's target shard; a [`Watch`] completes it once the watched (closest
+//!   live) replica of *every* accessed shard sent its execution notice — the
+//!   simulator's rule, including failover after a crash and timeout-then-abort for
+//!   stranded commands.
 //! * **Supervisor.** With a nemesis schedule, a supervisor thread sleeps until each
 //!   fault is due and acts on it: `Crash` stops the replica thread (its endpoint dies
 //!   with it — sockets close, queued frames drop) and — in oracle mode — tells the
@@ -24,7 +26,7 @@
 //!   then run over the real transport. Link-level faults are enforced inside
 //!   [`ChaosTransport`] on the delivery path.
 //! * **Failure detection.** With [`NetOpts::detector`], the oracle broadcasts are
-//!   disabled and each replica runs a `tempo-fault` [`FailureDetector`] instead:
+//!   disabled and each replica runs a `tempo-fault` failure detector instead:
 //!   heartbeat beacons cross the same chaos-afflicted transport as protocol traffic,
 //!   every peer frame counts as proof of life, and silence past the adaptive timeout
 //!   turns into a local `suspect` — so suspicion is *fallible* (a partitioned or
@@ -42,12 +44,12 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tempo_fault::{
-    DetectorEvent, DetectorOpts, DetectorStats, FailureDetector, FaultEvent, FaultSummary, History,
-    NemesisSchedule,
+    closest_live, DetectorOpts, DetectorStats, FaultEvent, FaultSummary, History, NemesisSchedule,
+    Notice, Replica, Watch,
 };
 use tempo_kernel::command::{Command, Key};
 use tempo_kernel::config::Config;
-use tempo_kernel::driver::{Driver, Output};
+use tempo_kernel::driver::Output;
 use tempo_kernel::id::{ClientId, ProcessId, Rifl, ShardId, SiteId};
 use tempo_kernel::membership::Membership;
 use tempo_kernel::metrics::LogHistogram;
@@ -90,7 +92,7 @@ pub struct NetOpts {
     /// measurements run on real sockets across emulated regions.
     pub planet: Option<Planet>,
     /// Real failure detection: with [`DetectorOpts`], every replica runs a
-    /// [`FailureDetector`] fed by heartbeats over the (chaos-afflicted) transport and
+    /// [`FailureDetector`](tempo_fault::FailureDetector) fed by heartbeats over the (chaos-afflicted) transport and
     /// the supervisor's oracle `Suspect`/`Unsuspect` broadcasts are disabled —
     /// suspicion becomes fallible, with detection latency bounded by the options.
     /// The control-frame path stays wired as a test override. `None` (the default)
@@ -239,34 +241,22 @@ impl Shared {
         self.tracers.get(&p).cloned().unwrap_or_default()
     }
 
-    /// Heartbeat period in detector mode (`u64::MAX` — i.e. never — in oracle mode).
-    pub(crate) fn detector_interval_us(&self) -> u64 {
-        self.detector
-            .map(|d| d.heartbeat_interval_us)
-            .unwrap_or(u64::MAX)
-    }
-}
-
-/// The closest live replica of `shard` as seen from `site`: geographic distance when
-/// a planet is configured, ring distance otherwise, crashed replicas skipped — the
-/// replica whose execution notice completes that shard's part of a command (shared
-/// by [`ClientSession`] and the load driver's pumps).
-pub(crate) fn watch_replica(shared: &Shared, site: SiteId, shard: ShardId) -> Option<ProcessId> {
-    let down = shared.down.lock().expect("down lock");
-    let m = &shared.membership;
-    let sites = m.sites() as u64;
-    shared
-        .membership
-        .processes_of_shard(shard)
-        .into_iter()
-        .filter(|p| !down.contains(p))
-        .min_by_key(|p| {
-            let s = m.site_of(*p);
-            match &shared.planet {
-                Some(planet) => (planet.one_way_us(site, s), *p),
-                None => ((s + sites - site) % sites, *p),
-            }
+    /// Starts `watch` on `cmd` for a client at `site`, each accessed shard watched at
+    /// its closest live replica (shared by [`ClientSession`] and the load driver's
+    /// pumps). Returns the submission target; `None` if a whole shard is down.
+    pub(crate) fn begin_watch(
+        &self,
+        watch: &mut Watch,
+        cmd: &Command,
+        site: SiteId,
+    ) -> Option<ProcessId> {
+        let down = self.down.lock().expect("down lock");
+        watch.begin(cmd, |shard| {
+            closest_live(&self.membership, self.planet.as_ref(), site, shard, |p| {
+                down.contains(&p)
+            })
         })
+    }
 }
 
 /// A replica thread's return value: its protocol metrics, its endpoint's traffic and
@@ -284,12 +274,9 @@ const STOP_POLL: Duration = Duration::from_millis(20);
 
 // ------------------------------------------------------------------- replicas
 
-#[allow(clippy::too_many_arguments)]
 fn spawn_replica<P>(
     protocol: P,
     mut transport: Box<dyn Transport>,
-    id: ProcessId,
-    shard: ShardId,
     incarnation: u64,
     initial_suspects: Vec<ProcessId>,
     shared: Arc<Shared>,
@@ -300,40 +287,36 @@ where
 {
     let stop = Arc::new(AtomicBool::new(false));
     let stop_flag = Arc::clone(&stop);
+    let id = protocol.id();
     let handle = std::thread::Builder::new()
         .name(format!("replica-{id}-i{incarnation}"))
         .spawn(move || {
-            let mut driver = Driver::from_protocol(protocol);
-            let tracer = shared.tracer(id);
-            driver.set_tracer(tracer.clone());
-            for q in initial_suspects {
-                Protocol::suspect(driver.protocol_mut(), q);
+            // With a planet the view is geographic: fast quorums are the *closest*
+            // replicas, which is what makes WAN emulation meaningful (and matches the
+            // simulator). In detector mode the replica's detector is fed by heartbeats
+            // this loop broadcasts and by every frame a peer sends — both travel the
+            // same chaos-afflicted transport, which is what makes suspicion fallible.
+            let (mut replica, boot) = Replica::boot(
+                protocol,
+                incarnation,
+                shared.tracer(id),
+                initial_suspects,
+                match &shared.planet {
+                    Some(planet) => planet.view_for(shared.config, id),
+                    None => View::trivial(shared.config, id),
+                },
+                shared.detector,
+                shared.now_us(),
+            );
+            for output in boot {
+                route_output(output, &mut transport, &shared, &replica);
             }
-            let view = match &shared.planet {
-                // Geographic views: fast quorums are the *closest* replicas, which is
-                // what makes WAN emulation meaningful (and matches the simulator).
-                Some(planet) => planet.view_for(shared.config, id),
-                None => View::trivial(shared.config, id),
-            };
-            let output = driver.start(view, shared.now_us());
-            route_output(output, &mut transport, &shared, id, shard, incarnation);
-            if incarnation > 0 {
-                let output = driver.rejoin(incarnation, shared.now_us());
-                route_output(output, &mut transport, &shared, id, shard, incarnation);
-            }
-            // Detector mode: a fresh detector per incarnation (fresh grace period for
-            // everyone), fed by heartbeats this loop broadcasts and by every frame a
-            // peer sends — both travel the same chaos-afflicted transport, which is
-            // exactly what makes suspicion fallible.
             let peers: Vec<ProcessId> = shared
                 .membership
                 .all_processes()
                 .into_iter()
                 .filter(|q| *q != id)
                 .collect();
-            let mut detector = shared
-                .detector
-                .map(|opts| FailureDetector::new(opts, peers.iter().copied(), shared.now_us()));
             let heartbeat_frame = {
                 let mut w = Writer::new();
                 w.put_u8(ENV_HEARTBEAT);
@@ -350,7 +333,7 @@ where
                 {
                     if now >= next_sample_us {
                         next_sample_us = now + interval.max(1);
-                        let m = driver.metrics();
+                        let m = replica.driver().metrics();
                         let t = transport.stats();
                         let mut registry = registry.lock().expect("registry lock");
                         registry.sample(&format!("p{id}.committed"), now, m.committed);
@@ -363,120 +346,86 @@ where
                             now,
                             t.queue_depth_peak,
                         );
-                        if let Some(det) = detector.as_ref() {
+                        if shared.detector.is_some() {
                             registry.sample(
                                 &format!("p{id}.suspicions"),
                                 now,
-                                det.stats().suspicions,
+                                replica.detector_stats().suspicions,
                             );
                         }
                     }
                 }
-                if let Some(det) = detector.as_mut() {
+                if let Some(detector) = shared.detector {
                     if now >= next_heartbeat_us {
-                        next_heartbeat_us = now + shared.detector_interval_us();
+                        next_heartbeat_us = now + detector.heartbeat_interval_us;
                         for q in &peers {
                             transport.send(*q, &heartbeat_frame);
                         }
                         transport.flush();
                     }
-                    for event in det.tick(now) {
-                        match event {
-                            DetectorEvent::Suspect(q) => {
-                                Protocol::suspect(driver.protocol_mut(), q);
-                                tracer.process_event(now, id, ProcEvent::Suspect(q));
-                            }
-                            DetectorEvent::Unsuspect(q) => {
-                                Protocol::unsuspect(driver.protocol_mut(), q);
-                                tracer.process_event(now, id, ProcEvent::Unsuspect(q));
-                            }
-                        }
-                    }
+                    replica.tick_detector(now);
                 }
                 // Fire overdue timers before waiting: a busy inbox must not starve
                 // the protocol's periodic events.
-                if driver.next_timer_due().is_some_and(|due| due <= now) {
-                    let output = driver.fire_due(now);
-                    route_output(output, &mut transport, &shared, id, shard, incarnation);
+                let next_timer = replica.driver().next_timer_due();
+                if next_timer.is_some_and(|due| due <= now) {
+                    let output = replica.driver_mut().fire_due(now);
+                    route_output(output, &mut transport, &shared, &replica);
                     continue;
                 }
-                let mut timeout = driver
-                    .next_timer_due()
+                let mut timeout = next_timer
                     .map(|due| Duration::from_micros(due.saturating_sub(now)))
                     .unwrap_or(STOP_POLL)
                     .min(STOP_POLL);
-                if let Some(det) = detector.as_ref() {
+                if shared.detector.is_some() {
                     // Fold the next heartbeat and the earliest suspicion deadline into
                     // the wait so detection latency is bounded by the options, not by
                     // the poll granularity.
-                    let mut due = next_heartbeat_us;
-                    if let Some(deadline) = det.next_deadline() {
-                        due = due.min(deadline);
-                    }
+                    let due = replica
+                        .detector_deadline()
+                        .map_or(next_heartbeat_us, |d| d.min(next_heartbeat_us));
                     timeout = timeout.min(Duration::from_micros(due.saturating_sub(now)));
                 }
                 match transport.recv_timeout(timeout) {
                     Ok((from, bytes)) => {
+                        let now = shared.now_us();
                         // Any frame from a replica peer is proof of life.
-                        if from < CLIENT_ID_BASE {
-                            if let Some(event) = detector
-                                .as_mut()
-                                .and_then(|det| det.heartbeat(from, shared.now_us()))
-                            {
-                                let DetectorEvent::Unsuspect(q) = event else {
-                                    unreachable!("heartbeats only unsuspect")
-                                };
-                                Protocol::unsuspect(driver.protocol_mut(), q);
-                                tracer.process_event(shared.now_us(), id, ProcEvent::Unsuspect(q));
-                            }
-                        }
-                        match decode_inbound::<P::Message>(&bytes) {
+                        replica.heard_from(from, now);
+                        let output = match decode_inbound::<P::Message>(&bytes) {
                             Ok(Inbound::Peer(msg)) if from < CLIENT_ID_BASE => {
-                                let output = driver.handle(from, msg, shared.now_us());
-                                route_output(
-                                    output,
-                                    &mut transport,
-                                    &shared,
-                                    id,
-                                    shard,
-                                    incarnation,
-                                );
+                                replica.driver_mut().handle(from, msg, now)
                             }
                             Ok(Inbound::Request(cmd)) if from >= CLIENT_ID_BASE => {
-                                let output = driver.submit(cmd, shared.now_us());
-                                route_output(
-                                    output,
-                                    &mut transport,
-                                    &shared,
-                                    id,
-                                    shard,
-                                    incarnation,
-                                );
+                                replica.driver_mut().submit(cmd, now)
                             }
                             // Control-frame suspicion stays wired in detector mode as
                             // the test override (the supervisor only *sends* it in
                             // oracle mode).
                             Ok(Inbound::Suspect(p)) if from == CONTROL_ID => {
-                                Protocol::suspect(driver.protocol_mut(), p);
-                                tracer.process_event(shared.now_us(), id, ProcEvent::Suspect(p));
+                                replica.suspect(p, now);
+                                continue;
                             }
                             Ok(Inbound::Unsuspect(p)) if from == CONTROL_ID => {
-                                Protocol::unsuspect(driver.protocol_mut(), p);
-                                tracer.process_event(shared.now_us(), id, ProcEvent::Unsuspect(p));
+                                replica.unsuspect(p, now);
+                                continue;
                             }
-                            Ok(Inbound::Heartbeat) => {} // Liveness already fed above.
+                            // Heartbeats carry nothing beyond the liveness fed above.
                             // Anything else — decode failures included — is dropped:
                             // the CRC layer already screened corruption, so this can
                             // only be mis-addressed harness traffic.
-                            _ => {}
-                        }
+                            _ => continue,
+                        };
+                        route_output(output, &mut transport, &shared, &replica);
                     }
                     Err(RecvError::Timeout) => {}
                     Err(RecvError::Closed) => break,
                 }
             }
-            let detector_stats = detector.as_ref().map(|det| det.stats()).unwrap_or_default();
-            (driver.metrics(), transport.stats(), detector_stats)
+            (
+                replica.driver().metrics(),
+                transport.stats(),
+                replica.detector_stats(),
+            )
         })
         .expect("spawn replica thread");
     Seat { stop, handle }
@@ -486,14 +435,15 @@ where
 /// answer the issuing client's endpoint and feed the history, and the whole step is
 /// flushed as one batch per peer. The driver already ran the protocol's persist hook,
 /// so everything sent here is backed by durable state (write-ahead across the wire).
-fn route_output<M: Wire>(
-    output: Output<M>,
+fn route_output<P: Protocol>(
+    output: Output<P::Message>,
     transport: &mut Box<dyn Transport>,
     shared: &Shared,
-    id: ProcessId,
-    shard: ShardId,
-    incarnation: u64,
-) {
+    replica: &Replica<P>,
+) where
+    P::Message: Wire,
+{
+    let (id, shard) = (replica.id(), replica.shard());
     for send in output.sends {
         let bytes = encode_peer(&send.msg);
         for to in send.to {
@@ -506,7 +456,7 @@ fn route_output<M: Wire>(
             history.lock().expect("history lock").record_execution(
                 shard,
                 id,
-                incarnation,
+                replica.incarnation(),
                 exec.rifl,
             );
         }
@@ -574,9 +524,6 @@ fn supervisor_loop<P>(
                 FaultEvent::Restart(p) => {
                     let incarnation = incarnations.entry(p).and_modify(|i| *i += 1).or_insert(1);
                     let incarnation = *incarnation;
-                    shared
-                        .tracer(p)
-                        .process_event(shared.now_us(), p, ProcEvent::Restart(p));
                     let shard = shared.membership.shard_of(p);
                     let protocol = factory(p, shard, shared.config, incarnation);
                     let transport = make_transport(&mesh, Some(&chaos), planet.as_ref(), p, batch)
@@ -596,8 +543,6 @@ fn supervisor_loop<P>(
                     let seat = spawn_replica(
                         protocol,
                         transport,
-                        p,
-                        shard,
                         incarnation,
                         initial_suspects,
                         Arc::clone(&shared),
@@ -697,18 +642,7 @@ impl RuntimeReport {
     pub fn total_metrics(&self) -> ProtocolMetrics {
         let mut total = ProtocolMetrics::default();
         for m in &self.metrics {
-            total.fast_paths += m.fast_paths;
-            total.slow_paths += m.slow_paths;
-            total.committed += m.committed;
-            total.executed += m.executed;
-            total.recoveries_started += m.recoveries_started;
-            total.recoveries_completed += m.recoveries_completed;
-            total.gc_collected += m.gc_collected;
-            total.gc_messages += m.gc_messages;
-            total.messages_sent += m.messages_sent;
-            total.wal_appends += m.wal_appends;
-            total.wal_bytes += m.wal_bytes;
-            total.snapshots_taken += m.snapshots_taken;
+            total.merge(m);
         }
         total
     }
@@ -782,15 +716,7 @@ impl NetCluster {
             let protocol = factory(id, shard, config, 0);
             let transport =
                 make_transport(&mesh, chaos.as_ref(), planet_net.as_ref(), id, opts.batch)?;
-            let seat = spawn_replica(
-                protocol,
-                transport,
-                id,
-                shard,
-                0,
-                Vec::new(),
-                Arc::clone(&shared),
-            );
+            let seat = spawn_replica(protocol, transport, 0, Vec::new(), Arc::clone(&shared));
             seats.lock().expect("seats lock").insert(id, seat);
         }
         let dead = Arc::new(Mutex::new(Vec::new()));
@@ -974,15 +900,11 @@ impl ClientSession {
         }
         // Pick, per accessed shard, the replica to watch (closest live); the
         // submission goes to the watched replica of the target shard.
-        let watchers: Option<BTreeMap<ShardId, ProcessId>> = cmd
-            .shards()
-            .map(|shard| watch_replica(&self.shared, self.site, shard).map(|p| (shard, p)))
-            .collect();
-        let Some(mut pending) = watchers else {
+        let mut watch = Watch::default();
+        let Some(target) = self.shared.begin_watch(&mut watch, &cmd, self.site) else {
             // Some accessed shard has every replica down.
             return self.abort(rifl);
         };
-        let target = pending[&cmd.target_shard()];
         self.transport.send(target, &encode_request(&cmd));
         self.transport.flush();
 
@@ -1001,17 +923,17 @@ impl ClientSession {
                     };
                     // Only the watched replica's notice counts (stale replies from
                     // earlier commands, or from unwatched replicas, are ignored).
-                    if reply.rifl != rifl || pending.get(&reply.shard) != Some(&from) {
+                    let notice = watch.notice(reply.rifl, reply.shard, from);
+                    if notice == Notice::Ignored {
                         continue;
                     }
-                    pending.remove(&reply.shard);
                     outputs.extend(reply.outputs.iter().map(|(k, v)| (reply.shard, *k, *v)));
-                    if pending.is_empty() {
+                    if let Notice::Completed(replied_by) = notice {
                         // The reply observed at the client, attributed to the replica
                         // whose notice completed the command.
-                        self.shared.tracer(from).phase(
+                        self.shared.tracer(replied_by).phase(
                             self.shared.now_us(),
-                            from,
+                            replied_by,
                             rifl,
                             CmdPhase::Replied,
                         );
@@ -1145,6 +1067,8 @@ mod tests {
         let report = cluster.shutdown();
         let total = report.total_metrics();
         assert!(total.committed >= 11, "commits: {total:?}");
+        // The driver's per-destination message count survives the replica threads.
+        assert!(total.messages_sent >= 4, "messages: {total:?}");
         assert!(
             report.transport.frames_sent > 0 && report.transport.bytes_sent > 0,
             "traffic must have crossed the transport: {:?}",
@@ -1159,8 +1083,14 @@ mod tests {
 
     #[test]
     fn concurrent_clients_from_every_site() {
-        let cluster = NetCluster::start(Config::full(3, 1), NetOpts::default(), tempo_factory())
-            .expect("cluster starts");
+        // 40 ms between sites: a Tempo fast path needs a round trip to the closest
+        // remote replica, so no command can complete in much less than 40 ms.
+        let opts = NetOpts {
+            planet: Some(Planet::equidistant(3, 40.0)),
+            ..NetOpts::default()
+        };
+        let cluster =
+            NetCluster::start(Config::full(3, 1), opts, tempo_factory()).expect("cluster starts");
         let tally = run_workload(&cluster, 2, 5, ConflictWorkload::new(0.2, 16, 7));
         assert_eq!(
             tally.completed,
@@ -1168,6 +1098,11 @@ mod tests {
             "all commands complete: {tally:?}"
         );
         assert_eq!(tally.aborted, 0);
+        assert!(
+            tally.latency.quantile_us(0.0) >= 35_000,
+            "expected a wide-area round trip: {:?}",
+            tally.latency.summary()
+        );
         let report = cluster.shutdown();
         assert!(report.total_metrics().executed > 0);
     }

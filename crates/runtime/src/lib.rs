@@ -8,9 +8,9 @@
 //! [`Wire`](tempo_net::Wire) codec and shipped over loopback TCP sockets, durable
 //! state on a real `FileStore` fsyncing under true concurrency.
 //!
-//! Two runtimes:
+//! Two entry points:
 //!
-//! * [`NetCluster`] — the primary, transport-backed cluster. A
+//! * [`NetCluster`] — the transport-backed cluster. A
 //!   [`RuntimeFactory`] builds each replica (wire a `tempo-store::FileStore` per
 //!   process and restarts become kill-thread / reopen-store / rejoin + state
 //!   transfer); a [`NemesisSchedule`](tempo_fault::NemesisSchedule) turns the run
@@ -26,8 +26,6 @@
 //! * [`run_load`] — the open-loop load driver over a [`NetCluster`]: seeded arrival
 //!   schedules from `tempo-load`, thousands of logical sessions over a few sockets,
 //!   tail latency measured from intended arrival times (DESIGN.md §8).
-//! * [`ThreadedCluster`] — the legacy channel-based cluster (no serialization, no
-//!   sockets), kept as the zero-copy baseline and for planet-delay experiments.
 //!
 //! The crate stays std-only: transports, framing and chaos all come from workspace
 //! crates.
@@ -37,10 +35,8 @@
 
 pub mod cluster;
 pub mod load;
-pub mod threaded;
 
 pub use cluster::{
     run_workload, ClientSession, NetCluster, NetOpts, RuntimeFactory, RuntimeReport, WorkloadTally,
 };
 pub use load::{run_load, LoadOpts, LoadReport};
-pub use threaded::ThreadedCluster;

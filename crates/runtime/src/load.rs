@@ -19,11 +19,11 @@
 //!   of the offered rate and of the session budget. A pump is an event loop over
 //!   three queues: the arrival schedule, a backlog of due-but-unsubmitted intended
 //!   arrival times, and a fixed slab of session slots.
-//! * **Sessions.** A slot is a logical client session: one in-flight command, its
-//!   watched replica per accessed shard (closest live — the [`ClientSession`]
-//!   semantics), and its intended arrival time. Slots are fixed-size entries in a
-//!   pre-allocated slab; the steady-state submit/complete path allocates nothing
-//!   beyond the command encode itself. Completion matching is O(1): the rifl
+//! * **Sessions.** A slot is a logical client session: one in-flight command tracked
+//!   by a [`Watch`] (its watched replica per accessed shard, closest live — the
+//!   [`ClientSession`] semantics) and its intended arrival time. Slots are fixed-size
+//!   entries in a pre-allocated slab; the steady-state submit/complete path allocates
+//!   nothing beyond the command encode itself. Completion matching is O(1): the rifl
 //!   sequence number carries the slot index in its top bits.
 //! * **Phases.** `warmup` (ops run but are not measured) → `measure` (ops whose
 //!   intended arrival falls in the window count toward throughput and the latency
@@ -43,12 +43,13 @@
 //!
 //! [`ClientSession`]: crate::ClientSession
 
-use crate::cluster::{decode_reply, encode_request, watch_replica, NetCluster, Shared};
+use crate::cluster::{decode_reply, encode_request, NetCluster, Shared};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use tempo_fault::{Notice, Watch};
 use tempo_kernel::command::Key;
-use tempo_kernel::id::{ClientId, ProcessId, Rifl, ShardId, SiteId};
+use tempo_kernel::id::{ClientId, Rifl, ShardId, SiteId};
 use tempo_kernel::metrics::{LatencySummary, LogHistogram};
 use tempo_kernel::trace::CmdPhase;
 use tempo_load::{Arrivals, Mix};
@@ -154,39 +155,18 @@ impl LoadReport {
 const SLOT_SHIFT: u32 = 40;
 const COUNTER_MASK: u64 = (1 << SLOT_SHIFT) - 1;
 
-/// Most shards one command may touch (`ZipfMix` issues single-shard commands,
-/// `YcsbTMix` two-shard ones; the fixed bound keeps slots allocation-free).
-const MAX_OP_SHARDS: usize = 4;
-
 /// How often a pump sweeps its slots for timed-out ops.
 const SWEEP_EVERY_US: u64 = 100_000;
 
 /// One logical client session: at most one in-flight command.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 struct Slot {
-    busy: bool,
     /// Whether the op's intended arrival falls inside the measured window.
     measured: bool,
     intended_us: u64,
-    /// Full rifl sequence number (slot index in the top bits) — a late reply for a
-    /// previous occupant of this slot fails the equality check and is ignored.
-    seq: u64,
-    /// Watched replica per accessed shard, still owing an execution notice.
-    pending: [(ShardId, ProcessId); MAX_OP_SHARDS],
-    pending_len: u8,
-}
-
-impl Default for Slot {
-    fn default() -> Self {
-        Self {
-            busy: false,
-            measured: false,
-            intended_us: 0,
-            seq: 0,
-            pending: [(0, 0); MAX_OP_SHARDS],
-            pending_len: 0,
-        }
-    }
+    /// The in-flight command (its rifl sequence number carries the slot index in the
+    /// top bits, so a late reply for a previous occupant is ignored).
+    watch: Watch,
 }
 
 /// Drives the cluster open-loop and reports achieved throughput plus the latency
@@ -280,12 +260,9 @@ struct PumpCfg<M: Mix> {
 }
 
 /// Records a client abort in the shared history (when recording is on).
-fn record_abort(shared: &Shared, client: ClientId, seq: u64) {
+fn record_abort(shared: &Shared, rifl: Rifl) {
     if let Some(history) = &shared.history {
-        history
-            .lock()
-            .expect("history lock")
-            .record_abort(Rifl::new(client, seq));
+        history.lock().expect("history lock").record_abort(rifl);
     }
 }
 
@@ -348,47 +325,18 @@ fn pump_loop<M: Mix>(mut cfg: PumpCfg<M>) -> (u64, u64, LogHistogram) {
                 );
             }
             let measured = intended >= cfg.warmup_us;
-            let mut pending = [(0, 0); MAX_OP_SHARDS];
-            let mut pending_len = 0usize;
-            let mut all_watched = true;
-            for shard in cmd.shards() {
-                assert!(
-                    pending_len < MAX_OP_SHARDS,
-                    "load driver supports at most {MAX_OP_SHARDS} accessed shards"
-                );
-                match watch_replica(&cfg.shared, cfg.site, shard) {
-                    Some(p) => {
-                        pending[pending_len] = (shard, p);
-                        pending_len += 1;
-                    }
-                    None => {
-                        all_watched = false;
-                        break;
-                    }
-                }
-            }
-            if !all_watched {
+            let slot = &mut slots[slot_idx];
+            let Some(target) = cfg.shared.begin_watch(&mut slot.watch, &cmd, cfg.site) else {
                 // Some accessed shard has every replica down right now.
-                record_abort(&cfg.shared, cfg.client, seq);
+                record_abort(&cfg.shared, cmd.rifl);
                 if measured {
                     aborted += 1;
                 }
                 free.push(slot_idx);
                 continue;
-            }
-            let target = pending[..pending_len]
-                .iter()
-                .find(|(s, _)| *s == cmd.target_shard())
-                .map(|(_, p)| *p)
-                .expect("target shard is among the accessed shards");
-            slots[slot_idx] = Slot {
-                busy: true,
-                measured,
-                intended_us: intended,
-                seq,
-                pending,
-                pending_len: pending_len as u8,
             };
+            slot.measured = measured;
+            slot.intended_us = intended;
             cfg.transport.send(target, &encode_request(&cmd));
             submitted_any = true;
         }
@@ -403,29 +351,25 @@ fn pump_loop<M: Mix>(mut cfg: PumpCfg<M>) -> (u64, u64, LogHistogram) {
         let now = start.elapsed().as_micros() as u64;
         if now >= grace_end_us {
             // Hard stop: strand in-flight ops and the unsubmitted backlog.
-            for slot in slots.iter_mut().filter(|s| s.busy) {
-                record_abort(&cfg.shared, cfg.client, slot.seq);
-                if slot.measured {
-                    aborted += 1;
-                }
-                slot.busy = false;
-            }
-            aborted += backlog.iter().filter(|&&t| t >= cfg.warmup_us).count() as u64;
+            aborted += strand(&cfg, &mut slots, &backlog);
             break;
         }
         // 4. Periodic timeout sweep.
         if now >= next_sweep {
             next_sweep = now + SWEEP_EVERY_US;
             for (idx, slot) in slots.iter_mut().enumerate() {
-                if slot.busy && now.saturating_sub(slot.intended_us) > cfg.op_timeout_us {
-                    record_abort(&cfg.shared, cfg.client, slot.seq);
+                let Some(rifl) = slot.watch.rifl() else {
+                    continue;
+                };
+                if now.saturating_sub(slot.intended_us) > cfg.op_timeout_us {
+                    slot.watch.cancel(rifl);
+                    record_abort(&cfg.shared, rifl);
                     if record {
                         outputs[idx].clear();
                     }
                     if slot.measured {
                         aborted += 1;
                     }
-                    slot.busy = false;
                     free.push(idx);
                 }
             }
@@ -444,35 +388,24 @@ fn pump_loop<M: Mix>(mut cfg: PumpCfg<M>) -> (u64, u64, LogHistogram) {
                     let Some(reply) = decode_reply(&bytes) else {
                         continue;
                     };
-                    if reply.rifl.client != cfg.client {
-                        continue;
-                    }
                     let slot_idx = (reply.rifl.seq >> SLOT_SHIFT) as usize;
-                    if slot_idx >= slots.len() {
-                        continue;
-                    }
-                    let slot = &mut slots[slot_idx];
-                    // Only the watched replica's notice for the *current* occupant
-                    // counts; anything else is a stale or duplicate notice.
-                    if !slot.busy || slot.seq != reply.rifl.seq {
-                        continue;
-                    }
-                    let Some(i) = slot.pending[..slot.pending_len as usize]
-                        .iter()
-                        .position(|&(s, p)| s == reply.shard && p == from)
-                    else {
+                    let Some(slot) = slots.get_mut(slot_idx) else {
                         continue;
                     };
-                    slot.pending_len -= 1;
-                    slot.pending[i] = slot.pending[slot.pending_len as usize];
+                    // Only the watched replica's notice for the *current* occupant
+                    // counts; anything else is a stale or duplicate notice.
+                    let notice = slot.watch.notice(reply.rifl, reply.shard, from);
+                    if notice == Notice::Ignored {
+                        continue;
+                    }
                     if record {
                         outputs[slot_idx]
                             .extend(reply.outputs.iter().map(|(k, v)| (reply.shard, *k, *v)));
                     }
-                    if slot.pending_len == 0 {
+                    if let Notice::Completed(replied_by) = notice {
                         if let Some(history) = &cfg.shared.history {
                             history.lock().expect("history lock").record_complete(
-                                Rifl::new(cfg.client, slot.seq),
+                                reply.rifl,
                                 cfg.shared.now_us(),
                                 std::mem::take(&mut outputs[slot_idx]),
                             );
@@ -482,11 +415,11 @@ fn pump_loop<M: Mix>(mut cfg: PumpCfg<M>) -> (u64, u64, LogHistogram) {
                             let done = start.elapsed().as_micros() as u64;
                             latency.record(done.saturating_sub(slot.intended_us));
                         }
-                        let tracer = cfg.shared.tracer(from);
+                        let tracer = cfg.shared.tracer(replied_by);
                         if tracer.is_enabled() {
-                            tracer.phase(cfg.shared.now_us(), from, reply.rifl, CmdPhase::Replied);
+                            let now = cfg.shared.now_us();
+                            tracer.phase(now, replied_by, reply.rifl, CmdPhase::Replied);
                         }
-                        slot.busy = false;
                         free.push(slot_idx);
                     }
                     drain_budget -= 1;
@@ -498,20 +431,27 @@ fn pump_loop<M: Mix>(mut cfg: PumpCfg<M>) -> (u64, u64, LogHistogram) {
                 Err(RecvError::Timeout) => break,
                 Err(RecvError::Closed) => {
                     // Cluster torn down under us: strand everything outstanding.
-                    for slot in slots.iter_mut().filter(|s| s.busy) {
-                        record_abort(&cfg.shared, cfg.client, slot.seq);
-                        if slot.measured {
-                            aborted += 1;
-                        }
-                        slot.busy = false;
-                    }
-                    aborted += backlog.iter().filter(|&&t| t >= cfg.warmup_us).count() as u64;
+                    aborted += strand(&cfg, &mut slots, &backlog);
                     break 'run;
                 }
             }
         }
     }
     (completed, aborted, latency)
+}
+
+/// Abandons every in-flight op and the unsubmitted backlog; returns how many of them
+/// were measured.
+fn strand<M: Mix>(cfg: &PumpCfg<M>, slots: &mut [Slot], backlog: &VecDeque<u64>) -> u64 {
+    let mut aborted = 0;
+    for slot in slots.iter_mut() {
+        if let Some(rifl) = slot.watch.rifl() {
+            slot.watch.cancel(rifl);
+            record_abort(&cfg.shared, rifl);
+            aborted += u64::from(slot.measured);
+        }
+    }
+    aborted + backlog.iter().filter(|&&t| t >= cfg.warmup_us).count() as u64
 }
 
 #[cfg(test)]

@@ -13,10 +13,11 @@
 //! request once every accessed shard has executed the command at the client's site.
 //!
 //! The simulator is a thin scheduler over the kernel's generic
-//! [`Driver`]: it owns transport (the latency-modelled
-//! event queue) and time, while all submit/handle/timer dispatch — including the
-//! protocol-owned periodic timers that replaced the v1 global tick — lives in the shared
-//! driver core.
+//! [`Driver`](tempo_kernel::driver::Driver), booted, fed suspicions and watched by
+//! clients through `tempo-fault`'s [`Replica`] and [`Watch`] exactly as in the
+//! networked runtime: it owns transport (the latency-modelled event queue) and time,
+//! while all submit/handle/timer dispatch — including the protocol-owned periodic
+//! timers that replaced the v1 global tick — lives in the shared driver core.
 //!
 //! # The fault plane
 //!
@@ -54,12 +55,12 @@ use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 use tempo_fault::{
-    DetectorEvent, DetectorOpts, DetectorStats, FailureDetector, FaultEvent, History, Nemesis,
-    NemesisSchedule,
+    closest_live, DetectorOpts, DetectorStats, FaultEvent, History, Nemesis, NemesisSchedule,
+    Notice, Replica, Watch,
 };
 use tempo_kernel::command::Command;
 use tempo_kernel::config::Config;
-use tempo_kernel::driver::{Driver, Output};
+use tempo_kernel::driver::Output;
 use tempo_kernel::id::{ClientId, ProcessId, Rifl, ShardId, SiteId};
 use tempo_kernel::membership::Membership;
 use tempo_kernel::metrics::{Histogram, LogHistogram};
@@ -131,7 +132,7 @@ pub struct SimOpts {
     /// Record the client/replica [`History`] for the `tempo-fault` checker.
     pub record_history: bool,
     /// Replace the perfect suspicion oracle with a real, timeout-based
-    /// [`FailureDetector`] per process: heartbeats are simulated frames that cross the
+    /// [`FailureDetector`](tempo_fault::FailureDetector) per process: heartbeats are simulated frames that cross the
     /// same nemesis-afflicted network as protocol messages, so wrong suspicions (from
     /// partitions, slow nodes, delay spikes) become possible and crashes are detected
     /// with the configured latency instead of instantly. `None` keeps the oracle of
@@ -255,11 +256,10 @@ struct ClientState {
     completed: usize,
     aborted: usize,
     submit_time: u64,
-    /// Per accessed shard, the replica whose execution completes that shard's part of
-    /// the current command: the closest *live* replica at submission time (the
-    /// colocated one in failure-free runs; a remote one after a local crash).
-    pending: BTreeMap<ShardId, ProcessId>,
-    current: Option<Rifl>,
+    /// The current command and, per accessed shard, the closest *live* replica at
+    /// submission time whose execution completes that shard's part (the colocated
+    /// one in failure-free runs; a remote one after a local crash).
+    watch: Watch,
     /// Shard-tagged outputs collected from the watched executions of the current
     /// command (for the history's response record).
     partial: Vec<(ShardId, tempo_kernel::command::Key, Option<u64>)>,
@@ -272,7 +272,8 @@ pub struct Simulation<P: Protocol, W: Workload> {
     planet: Planet,
     opts: SimOpts,
     factory: ProtocolFactory<P>,
-    drivers: BTreeMap<ProcessId, Driver<P>>,
+    /// Booted at the start of [`Simulation::run`]; a restart replaces the entry.
+    replicas: BTreeMap<ProcessId, Replica<P>>,
     workload: W,
     clients: BTreeMap<ClientId, ClientState>,
     queue: BinaryHeap<Event<P::Message>>,
@@ -282,12 +283,8 @@ pub struct Simulation<P: Protocol, W: Workload> {
     timer_wakes: BTreeMap<ProcessId, u64>,
     now: u64,
     nemesis: Option<Nemesis>,
-    /// Per-process failure detectors (detector mode only; rebuilt on restart).
-    detectors: BTreeMap<ProcessId, FailureDetector>,
     /// Detector counters of dead incarnations, folded in at restart time.
     detector_stats: DetectorStats,
-    /// Restart count per process (0 = the original incarnation).
-    incarnations: BTreeMap<ProcessId, u64>,
     history: Option<History>,
     completed_total: u64,
     aborted_total: u64,
@@ -297,10 +294,6 @@ pub struct Simulation<P: Protocol, W: Workload> {
     overall: LogHistogram,
     /// Test-only exact twin of `overall` (`SimOpts::exact_latencies`).
     exact_overall: Option<Histogram>,
-    /// One lifecycle-event ring per process (`SimOpts::trace`); restarted incarnations
-    /// keep appending to their process's ring. Empty when tracing is off, which makes
-    /// every trace lookup on the hot path a failed BTreeMap probe of an empty map.
-    tracers: BTreeMap<ProcessId, Tracer>,
     registry: Option<MetricsRegistry>,
 }
 
@@ -334,7 +327,7 @@ impl<P: Protocol, W: Workload> Simulation<P, W> {
         planet: Planet,
         opts: SimOpts,
         workload: W,
-        mut factory: ProtocolFactory<P>,
+        factory: ProtocolFactory<P>,
     ) -> Self {
         assert_eq!(
             planet.len(),
@@ -342,18 +335,6 @@ impl<P: Protocol, W: Workload> Simulation<P, W> {
             "planet must have one region per site"
         );
         let membership = Membership::from_config(&config);
-        let mut drivers = BTreeMap::new();
-        let mut tracers = BTreeMap::new();
-        for id in membership.all_processes() {
-            let shard = membership.shard_of(id);
-            let mut driver = Driver::from_protocol(factory(id, shard, config, 0));
-            if opts.trace {
-                let tracer = Tracer::with_capacity(DEFAULT_TRACE_CAPACITY);
-                driver.set_tracer(tracer.clone());
-                tracers.insert(id, tracer);
-            }
-            drivers.insert(id, driver);
-        }
         let mut clients = BTreeMap::new();
         let mut client_id: ClientId = 0;
         for site in membership.all_sites() {
@@ -366,8 +347,7 @@ impl<P: Protocol, W: Workload> Simulation<P, W> {
                         completed: 0,
                         aborted: 0,
                         submit_time: 0,
-                        pending: BTreeMap::new(),
-                        current: None,
+                        watch: Watch::default(),
                         partial: Vec::new(),
                     },
                 );
@@ -384,17 +364,6 @@ impl<P: Protocol, W: Workload> Simulation<P, W> {
             .clone()
             .map(|schedule| Nemesis::new(schedule, opts.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
         let history = opts.record_history.then(History::new);
-        let detectors = match opts.detector {
-            Some(d) => membership
-                .all_processes()
-                .into_iter()
-                .map(|p| {
-                    let peers = membership.all_processes().into_iter().filter(|&q| q != p);
-                    (p, FailureDetector::new(d, peers, 0))
-                })
-                .collect(),
-            None => BTreeMap::new(),
-        };
         let exact_overall = opts.exact_latencies.then(Histogram::new);
         let registry = opts
             .metrics_interval_us
@@ -406,7 +375,7 @@ impl<P: Protocol, W: Workload> Simulation<P, W> {
             planet,
             opts,
             factory,
-            drivers,
+            replicas: BTreeMap::new(),
             workload,
             clients,
             queue: BinaryHeap::new(),
@@ -415,9 +384,7 @@ impl<P: Protocol, W: Workload> Simulation<P, W> {
             timer_wakes: BTreeMap::new(),
             now: 0,
             nemesis,
-            detectors,
             detector_stats: DetectorStats::default(),
-            incarnations: BTreeMap::new(),
             history,
             completed_total: 0,
             aborted_total: 0,
@@ -426,7 +393,6 @@ impl<P: Protocol, W: Workload> Simulation<P, W> {
             per_site,
             overall: LogHistogram::new(),
             exact_overall,
-            tracers,
             registry,
         }
     }
@@ -445,7 +411,36 @@ impl<P: Protocol, W: Workload> Simulation<P, W> {
     }
 
     fn incarnation_of(&self, process: ProcessId) -> u64 {
-        self.incarnations.get(&process).copied().unwrap_or(0)
+        self.replicas[&process].incarnation()
+    }
+
+    /// Boots incarnation `incarnation` of `p` at `at` through the factory and absorbs
+    /// its start (and rejoin) output. Returns the replaced incarnation, if any.
+    fn boot(
+        &mut self,
+        p: ProcessId,
+        incarnation: u64,
+        tracer: Tracer,
+        suspects: Vec<ProcessId>,
+        at: u64,
+    ) -> Option<Replica<P>> {
+        let shard = self.membership.shard_of(p);
+        let protocol = (self.factory)(p, shard, self.config, incarnation);
+        let view = self.planet.view_for(self.config, p);
+        let (replica, outputs) = Replica::boot(
+            protocol,
+            incarnation,
+            tracer,
+            suspects,
+            view,
+            self.opts.detector,
+            at,
+        );
+        let old = self.replicas.insert(p, replica);
+        for output in outputs {
+            self.absorb(p, at, output);
+        }
+        old
     }
 
     fn charge_cpu(&mut self, process: ProcessId, arrival: u64, wire_size: usize) -> u64 {
@@ -538,7 +533,7 @@ impl<P: Protocol, W: Workload> Simulation<P, W> {
     /// Pushes a `TimerWake` event for the process's earliest pending timer, unless an
     /// earlier (still useful) wake-up is already registered.
     fn register_timer_wake(&mut self, process: ProcessId, at: u64) {
-        let Some(due) = self.drivers[&process].next_timer_due() else {
+        let Some(due) = self.replicas[&process].driver().next_timer_due() else {
             return;
         };
         let due = due.max(at);
@@ -562,7 +557,7 @@ impl<P: Protocol, W: Workload> Simulation<P, W> {
         }
         let shard = self.membership.shard_of(process);
         if let Some(history) = &mut self.history {
-            let incarnation = self.incarnations.get(&process).copied().unwrap_or(0);
+            let incarnation = self.replicas[&process].incarnation();
             for exec in &executed {
                 history.record_execution(shard, process, incarnation, exec.rifl);
             }
@@ -573,17 +568,16 @@ impl<P: Protocol, W: Workload> Simulation<P, W> {
             let Some(client) = self.clients.get_mut(&client_id) else {
                 continue;
             };
-            if client.current != Some(exec.rifl) || client.pending.get(&shard) != Some(&process) {
+            let notice = client.watch.notice(exec.rifl, shard, process);
+            if notice == Notice::Ignored {
                 continue;
             }
             let site = client.site;
-            client.pending.remove(&shard);
             client
                 .partial
                 .extend(exec.result.outputs.iter().map(|(k, v)| (shard, *k, *v)));
-            if client.pending.is_empty() {
+            if let Notice::Completed(replied_by) = notice {
                 // The command completed: record the latency and issue the next command.
-                client.current = None;
                 client.completed += 1;
                 let latency = at.saturating_sub(client.submit_time);
                 let outputs = std::mem::take(&mut client.partial);
@@ -598,9 +592,12 @@ impl<P: Protocol, W: Workload> Simulation<P, W> {
                 // The reply "hop" is the watched replica handing the result back; the
                 // sim models it as instantaneous, so Replied lands at the execution
                 // instant (execute→reply measures queueing only under a real runtime).
-                if let Some(tracer) = self.tracers.get(&process) {
-                    tracer.phase(at, process, exec.rifl, CmdPhase::Replied);
-                }
+                self.replicas[&replied_by].tracer().phase(
+                    at,
+                    replied_by,
+                    exec.rifl,
+                    CmdPhase::Replied,
+                );
                 self.completed_total += 1;
                 self.last_completion = self.last_completion.max(at);
                 if let Some(history) = &mut self.history {
@@ -614,22 +611,6 @@ impl<P: Protocol, W: Workload> Simulation<P, W> {
         }
     }
 
-    /// The replica of `shard` the client at `site` submits to: the closest one that is
-    /// not crashed (the colocated replica in failure-free runs). `None` when the whole
-    /// shard is down.
-    fn submit_target(&self, shard: ShardId, site: SiteId) -> Option<ProcessId> {
-        self.membership
-            .processes_of_shard(shard)
-            .into_iter()
-            .filter(|p| !self.is_down(*p))
-            .min_by_key(|p| {
-                (
-                    self.planet.one_way_us(site, self.membership.site_of(*p)),
-                    *p,
-                )
-            })
-    }
-
     fn submit_for_client(&mut self, client_id: ClientId, at: u64) {
         let site = self.clients[&client_id].site;
         let cmd: Command = self.workload.next_command(client_id);
@@ -637,27 +618,22 @@ impl<P: Protocol, W: Workload> Simulation<P, W> {
         self.first_submit = self.first_submit.min(at);
         // Watch, per accessed shard, the closest live replica for the response; the
         // submission target is the watched replica of the target shard.
-        let pending: Option<BTreeMap<ShardId, ProcessId>> = cmd
-            .shards()
-            .map(|shard| self.submit_target(shard, site).map(|p| (shard, p)))
-            .collect();
-        let target = pending
-            .as_ref()
-            .and_then(|p| p.get(&cmd.target_shard()).copied());
-        {
-            let client = self.clients.get_mut(&client_id).expect("client exists");
-            client.issued += 1;
-            client.submit_time = at;
-            client.current = Some(rifl);
-            client.pending = pending.clone().unwrap_or_default();
-            client.partial.clear();
-        }
+        let (membership, planet, nemesis) = (&self.membership, &self.planet, &self.nemesis);
+        let client = self.clients.get_mut(&client_id).expect("client exists");
+        client.issued += 1;
+        client.submit_time = at;
+        client.partial.clear();
+        let target = client.watch.begin(&cmd, |shard| {
+            closest_live(membership, Some(planet), site, shard, |p| {
+                nemesis.as_ref().is_some_and(|n| n.is_down(p))
+            })
+        });
         if let Some(history) = &mut self.history {
             history.record_invoke(rifl, cmd.clone(), at);
         }
-        let (Some(target), Some(_)) = (target, pending) else {
+        let Some(target) = target else {
             // Some accessed shard has every replica down: the command cannot complete.
-            self.abort_command(client_id, rifl, at);
+            self.tally_abort(client_id, rifl, at);
             return;
         };
         if let Some(timeout) = self.opts.client_timeout_us {
@@ -671,21 +647,25 @@ impl<P: Protocol, W: Workload> Simulation<P, W> {
         }
         let start = self.charge_cpu(target, at, cmd.wire_size());
         let output = self
-            .drivers
+            .replicas
             .get_mut(&target)
             .expect("target exists")
+            .driver_mut()
             .submit(cmd, start);
         self.absorb(target, start, output);
     }
 
-    /// Gives up on `rifl` for `client` (unless it completed since): tallies the abort
-    /// and issues the client's next command.
+    /// Gives up on `rifl` for `client` (unless it completed since).
     fn abort_command(&mut self, client_id: ClientId, rifl: Rifl, at: u64) {
         let client = self.clients.get_mut(&client_id).expect("client exists");
-        if client.current != Some(rifl) {
-            return; // Completed in the meantime.
+        if client.watch.cancel(rifl) {
+            self.tally_abort(client_id, rifl, at);
         }
-        client.current = None;
+    }
+
+    /// Tallies an abandoned command and issues the client's next one.
+    fn tally_abort(&mut self, client_id: ClientId, rifl: Rifl, at: u64) {
+        let client = self.clients.get_mut(&client_id).expect("client exists");
         client.aborted += 1;
         client.partial.clear();
         self.aborted_total += 1;
@@ -715,71 +695,43 @@ impl<P: Protocol, W: Workload> Simulation<P, W> {
                     // its heartbeats stop arriving.
                     self.busy_until.remove(&p);
                     self.timer_wakes.remove(&p);
-                    if let Some(t) = self.tracers.get(&p) {
-                        t.process_event(at, p, ProcEvent::Crash(p));
-                    }
+                    self.replicas[&p]
+                        .tracer()
+                        .process_event(at, p, ProcEvent::Crash(p));
                     if self.opts.detector.is_none() {
-                        for (id, driver) in self.drivers.iter_mut() {
-                            if *id != p && !self.nemesis.as_ref().is_some_and(|n| n.is_down(*id)) {
-                                driver.protocol_mut().suspect(p);
-                                if let Some(t) = self.tracers.get(id) {
-                                    t.process_event(at, *id, ProcEvent::Suspect(p));
-                                }
+                        let nemesis = self.nemesis.as_ref().expect("nemesis");
+                        for (id, replica) in self.replicas.iter_mut() {
+                            if *id != p && !nemesis.is_down(*id) {
+                                replica.suspect(p, at);
                             }
                         }
                     }
                 }
                 FaultEvent::Restart(p) => {
                     // Rebuild through the factory: a fresh incarnation that must
-                    // rejoin. Volatile state died with the old driver; whatever the
-                    // factory preserved (a durable store handle) is the "disk".
-                    let incarnation = self.incarnations.entry(p).or_insert(0);
-                    *incarnation += 1;
-                    let incarnation = *incarnation;
-                    let shard = self.membership.shard_of(p);
-                    let mut driver =
-                        Driver::from_protocol((self.factory)(p, shard, self.config, incarnation));
-                    // The new incarnation appends to the same per-process ring, so one
-                    // track shows the whole crash/recover story.
-                    if let Some(t) = self.tracers.get(&p) {
-                        driver.set_tracer(t.clone());
-                        t.process_event(at, p, ProcEvent::Restart(p));
-                    }
-                    let view = self.planet.view_for(self.config, p);
-                    let start = driver.start(view, at);
-                    let rejoin = driver.rejoin(incarnation, at);
-                    if self.opts.detector.is_none() {
-                        for q in self.membership.all_processes() {
-                            if q != p && self.is_down(q) {
-                                driver.protocol_mut().suspect(q);
-                            }
-                        }
-                    }
-                    self.drivers.insert(p, driver);
-                    self.absorb(p, at, start);
-                    self.absorb(p, at, rejoin);
-                    if let Some(d) = self.opts.detector {
-                        // A fresh incarnation gets a fresh detector (and a fresh grace
-                        // period); the dead one's counters fold into the run total.
-                        // Peers retract their suspicion when its heartbeats resume —
-                        // no oracle announcement.
-                        let peers = self
-                            .membership
-                            .all_processes()
-                            .into_iter()
-                            .filter(|&q| q != p);
-                        if let Some(old) =
-                            self.detectors.insert(p, FailureDetector::new(d, peers, at))
-                        {
-                            self.detector_stats.merge(&old.stats());
-                        }
+                    // rejoin, appending to the same trace ring so one track shows the
+                    // whole crash/recover story. Volatile state died with the old
+                    // incarnation; whatever the factory preserved (a durable store
+                    // handle) is the "disk". In oracle mode it boots suspecting who is
+                    // still down, and its peers are told it is back; in detector mode
+                    // they retract their suspicion when its heartbeats resume.
+                    let old = &self.replicas[&p];
+                    let (incarnation, tracer) = (old.incarnation() + 1, old.tracer().clone());
+                    let suspects = if self.opts.detector.is_none() {
+                        let all = self.membership.all_processes().into_iter();
+                        all.filter(|&q| q != p && self.is_down(q)).collect()
                     } else {
-                        for (id, driver) in self.drivers.iter_mut() {
+                        Vec::new()
+                    };
+                    let old = self.boot(p, incarnation, tracer, suspects, at);
+                    // The dead incarnation's detector counters fold into the run total.
+                    if let Some(old) = old {
+                        self.detector_stats.merge(&old.detector_stats());
+                    }
+                    if self.opts.detector.is_none() {
+                        for (id, replica) in self.replicas.iter_mut() {
                             if *id != p {
-                                driver.protocol_mut().unsuspect(p);
-                                if let Some(t) = self.tracers.get(id) {
-                                    t.process_event(at, *id, ProcEvent::Unsuspect(p));
-                                }
+                                replica.unsuspect(p, at);
                             }
                         }
                     }
@@ -793,22 +745,6 @@ impl<P: Protocol, W: Workload> Simulation<P, W> {
         (self.clients.len() * self.opts.commands_per_client) as u64
     }
 
-    /// Detector mode: an arrival from `from` proves it is alive to `to`'s detector;
-    /// a retracted suspicion is forwarded to the protocol immediately.
-    fn feed_liveness(&mut self, from: ProcessId, to: ProcessId, at: u64) {
-        let Some(detector) = self.detectors.get_mut(&to) else {
-            return;
-        };
-        if let Some(DetectorEvent::Unsuspect(q)) = detector.heartbeat(from, at) {
-            if let Some(driver) = self.drivers.get_mut(&to) {
-                driver.protocol_mut().unsuspect(q);
-            }
-            if let Some(t) = self.tracers.get(&to) {
-                t.process_event(at, to, ProcEvent::Unsuspect(q));
-            }
-        }
-    }
-
     /// Snapshots aggregated protocol counters into the metrics registry
     /// (`SimOpts::metrics_interval_us`).
     fn sample_metrics(&mut self, at: u64) {
@@ -818,15 +754,13 @@ impl<P: Protocol, W: Workload> Simulation<P, W> {
         let mut committed = 0u64;
         let mut executed = 0u64;
         let mut messages_sent = 0u64;
-        for driver in self.drivers.values() {
-            let m = driver.metrics();
+        let mut suspicions = self.detector_stats.suspicions;
+        for replica in self.replicas.values() {
+            let m = replica.driver().metrics();
             committed += m.committed;
             executed += m.executed;
             messages_sent += m.messages_sent;
-        }
-        let mut suspicions = self.detector_stats.suspicions;
-        for det in self.detectors.values() {
-            suspicions += det.stats().suspicions;
+            suspicions += replica.detector_stats().suspicions;
         }
         registry.sample_all(
             at,
@@ -849,21 +783,19 @@ impl<P: Protocol, W: Workload> Simulation<P, W> {
                 self.push(time, EventKind::NemesisWake);
             }
         }
-        // Start every driver: protocols learn their view and schedule their own timers.
-        let process_ids: Vec<ProcessId> = self.drivers.keys().copied().collect();
-        for p in process_ids {
-            let view = self.planet.view_for(self.config, p);
-            let output = self
-                .drivers
-                .get_mut(&p)
-                .expect("process exists")
-                .start(view, 0);
-            self.absorb(p, 0, output);
+        // Boot every process: protocols learn their view and schedule their own timers.
+        let processes = self.membership.all_processes();
+        for &p in &processes {
+            let tracer = if self.opts.trace {
+                Tracer::with_capacity(DEFAULT_TRACE_CAPACITY)
+            } else {
+                Tracer::disabled()
+            };
+            self.boot(p, 0, tracer, Vec::new(), 0);
         }
         // Detector mode: start every process's tick chain, staggered so heartbeats do
         // not arrive in lockstep across the cluster.
         if let Some(d) = self.opts.detector {
-            let processes: Vec<ProcessId> = self.drivers.keys().copied().collect();
             for (i, process) in processes.into_iter().enumerate() {
                 let offset = (i as u64 * 131) % d.heartbeat_interval_us.max(1);
                 self.push(offset, EventKind::DetectorTick { process });
@@ -905,32 +837,28 @@ impl<P: Protocol, W: Workload> Simulation<P, W> {
                         // since-replaced incarnation dies with the old connection.
                         if nemesis.is_down(from)
                             || nemesis.is_down(to)
-                            || self.incarnations.get(&from).copied().unwrap_or(0)
-                                != from_incarnation
-                            || self.incarnations.get(&to).copied().unwrap_or(0) != to_incarnation
+                            || self.replicas[&from].incarnation() != from_incarnation
+                            || self.replicas[&to].incarnation() != to_incarnation
                         {
-                            self.nemesis.as_mut().expect("nemesis").note_crash_drop();
+                            nemesis.note_crash_drop();
                             continue;
                         }
-                        if !self
-                            .nemesis
-                            .as_mut()
-                            .expect("nemesis")
-                            .allows_delivery(from, to)
-                        {
+                        if !nemesis.allows_delivery(from, to) {
                             continue;
                         }
                     }
                     // Any frame that makes it through proves the sender is alive.
-                    self.feed_liveness(from, to, event.time);
+                    let replica = self.replicas.get_mut(&to).expect("process exists");
+                    replica.heard_from(from, event.time);
                     let start = self.charge_cpu(to, event.time, msg.wire_size());
                     // The last destination of a broadcast unwraps the message without a
                     // copy; earlier destinations (still sharing the allocation) clone.
                     let msg = Arc::try_unwrap(msg).unwrap_or_else(|shared| (*shared).clone());
                     let output = self
-                        .drivers
+                        .replicas
                         .get_mut(&to)
                         .expect("process exists")
+                        .driver_mut()
                         .handle(from, msg, start);
                     self.absorb(to, start, output);
                 }
@@ -944,9 +872,10 @@ impl<P: Protocol, W: Workload> Simulation<P, W> {
                         continue;
                     }
                     let output = self
-                        .drivers
+                        .replicas
                         .get_mut(&process)
                         .expect("process exists")
+                        .driver_mut()
                         .fire_due(event.time);
                     self.absorb(process, event.time, output);
                 }
@@ -979,23 +908,10 @@ impl<P: Protocol, W: Workload> Simulation<P, W> {
                         continue;
                     }
                     // Scan for overdue peers; fresh suspicions go to the protocol.
-                    let events = self
-                        .detectors
+                    self.replicas
                         .get_mut(&process)
-                        .map(|det| det.tick(event.time))
-                        .unwrap_or_default();
-                    for e in events {
-                        if let DetectorEvent::Suspect(q) = e {
-                            self.drivers
-                                .get_mut(&process)
-                                .expect("process exists")
-                                .protocol_mut()
-                                .suspect(q);
-                            if let Some(t) = self.tracers.get(&process) {
-                                t.process_event(event.time, process, ProcEvent::Suspect(q));
-                            }
-                        }
-                    }
+                        .expect("process exists")
+                        .tick_detector(event.time);
                     // Broadcast a heartbeat over the nemesis-afflicted network: slow
                     // nodes beat late, partitions silence them entirely.
                     let from_site = self.membership.site_of(process);
@@ -1034,9 +950,8 @@ impl<P: Protocol, W: Workload> Simulation<P, W> {
                         // working as intended, not a protocol-visible message loss).
                         if nemesis.is_down(from)
                             || nemesis.is_down(to)
-                            || self.incarnations.get(&from).copied().unwrap_or(0)
-                                != from_incarnation
-                            || self.incarnations.get(&to).copied().unwrap_or(0) != to_incarnation
+                            || self.replicas[&from].incarnation() != from_incarnation
+                            || self.replicas[&to].incarnation() != to_incarnation
                         {
                             continue;
                         }
@@ -1044,7 +959,10 @@ impl<P: Protocol, W: Workload> Simulation<P, W> {
                             continue;
                         }
                     }
-                    self.feed_liveness(from, to, event.time);
+                    self.replicas
+                        .get_mut(&to)
+                        .expect("process exists")
+                        .heard_from(from, event.time);
                 }
             }
         }
@@ -1053,20 +971,10 @@ impl<P: Protocol, W: Workload> Simulation<P, W> {
         }
 
         let mut metrics = ProtocolMetrics::default();
-        for p in self.drivers.values() {
-            let m = p.metrics();
-            metrics.fast_paths += m.fast_paths;
-            metrics.slow_paths += m.slow_paths;
-            metrics.committed += m.committed;
-            metrics.executed += m.executed;
-            metrics.recoveries_started += m.recoveries_started;
-            metrics.recoveries_completed += m.recoveries_completed;
-            metrics.gc_collected += m.gc_collected;
-            metrics.gc_messages += m.gc_messages;
-            metrics.messages_sent += m.messages_sent;
-            metrics.wal_appends += m.wal_appends;
-            metrics.wal_bytes += m.wal_bytes;
-            metrics.snapshots_taken += m.snapshots_taken;
+        let mut detector = self.detector_stats;
+        for replica in self.replicas.values() {
+            metrics.merge(&replica.driver().metrics());
+            detector.merge(&replica.detector_stats());
         }
         let duration = self
             .last_completion
@@ -1097,8 +1005,8 @@ impl<P: Protocol, W: Workload> Simulation<P, W> {
         // from it) byte-identical across same-seed runs.
         let trace = self.opts.trace.then(|| {
             let mut log = TraceLog::default();
-            for tracer in self.tracers.values() {
-                log.merge(tracer.take());
+            for replica in self.replicas.values() {
+                log.merge(replica.tracer().take());
             }
             log.sort_by_time();
             log
@@ -1120,13 +1028,7 @@ impl<P: Protocol, W: Workload> Simulation<P, W> {
             duration_us: duration,
             metrics,
             faults: self.nemesis.map(|n| n.summary()).unwrap_or_default(),
-            detector: {
-                let mut stats = self.detector_stats;
-                for det in self.detectors.values() {
-                    stats.merge(&det.stats());
-                }
-                stats
-            },
+            detector,
             history: self.history,
             trace,
             phases,

@@ -13,8 +13,7 @@
 //! * [`sim`] — the discrete-event simulator (with the fault plane),
 //! * [`store`] — durable replica state: WAL + snapshots behind the `Store` trait,
 //! * [`net`] — wire codec + pluggable transports (TCP, chaos injection),
-//! * [`runtime`] — the cluster runtime: the networked `NetCluster` over `tempo-net`
-//!   and the legacy channel-based `ThreadedCluster`,
+//! * [`runtime`] — the networked cluster runtime: `NetCluster` over `tempo-net`,
 //! * [`trace`] — post-run trace analysis: phase-latency breakdown, Chrome trace
 //!   export (Perfetto-loadable) and the sampled metrics time series,
 //! * [`workload`] — microbenchmark, YCSB+T and batching workloads,
@@ -26,7 +25,7 @@
 //! Protocols are deterministic state machines producing typed actions — `Send` messages,
 //! `Deliver` executed commands (push-based completions), and `Schedule` for their own
 //! periodic timers. The same state machine runs unchanged under the synchronous test
-//! harness, the discrete-event simulator and the threaded runtime, because all three
+//! harness, the discrete-event simulator and the networked runtime, because all three
 //! schedule over the kernel's generic `Driver`:
 //!
 //! ```

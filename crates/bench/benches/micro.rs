@@ -188,8 +188,9 @@ fn bench_commit_path(records: &mut Vec<Record>) {
 }
 
 fn bench_sustained_load(records: &mut Vec<Record>) {
-    // Long-run behaviour of the full hot path (commit + incremental stability + cursor
-    // executor + GC): cost per command must not grow with run length.
+    // Long-run behaviour of the full hot path (commit + incremental and per-key
+    // stability + per-key executor + GC): cost per command must not grow with run
+    // length.
     let commands = if tempo_bench::short_mode() { 300 } else { 1500 };
     let name = "tempo/sustained_load_r3";
     let median = bench(name, 10, || {

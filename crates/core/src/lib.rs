@@ -33,14 +33,16 @@
 //! * [`clock`] — the timestamping clock (`proposal`/`bump`, Algorithm 1),
 //! * [`promises`] — attached/detached promises and stability detection (Algorithm 2,
 //!   Theorem 1),
+//! * [`stability`] — per-key stability: when a committed command may execute,
 //! * [`messages`] — the wire protocol,
 //! * [`info`] — per-command state (Figure 1 phases, Table 3 variables),
 //! * [`gc`] — committed-command garbage collection via executed watermarks,
 //! * [`protocol`] — the [`Tempo`] *ordering* state machine: commit, multi-partition and
 //!   recovery protocols, plus the protocol-owned timers (promise broadcast, liveness
 //!   scan),
-//! * [`executor`] — the [`TempoExecutor`] *execution* stage: stability-ordered
-//!   execution, fed with commit/stability events and independently testable,
+//! * [`executor`] — the [`TempoExecutor`] *execution* stage: per-key
+//!   stability-ordered execution, fed with commit/stability events and independently
+//!   testable,
 //! * [`wire`] — the `tempo-net` [`Wire`](tempo_net::Wire) codec for the full message
 //!   set (what the TCP-backed cluster runtime ships over sockets), with the canonical
 //!   per-variant fixture in [`wire_fixture`] pinned by `tests/wire_golden.rs`.
@@ -55,6 +57,7 @@ pub mod info;
 pub mod messages;
 pub mod promises;
 pub mod protocol;
+pub mod stability;
 pub mod wire;
 pub mod wire_fixture;
 

@@ -12,6 +12,7 @@ use std::collections::BTreeMap;
 use tempo_kernel::command::{Command, Key};
 use tempo_kernel::id::{Dot, ProcessId, ShardId};
 use tempo_kernel::protocol::WireSize;
+use tempo_store::snapshot::KeyFloor;
 use tempo_store::QueuedCommit;
 
 /// The fast quorum chosen for each shard accessed by a command (the mapping `Q` of
@@ -238,17 +239,16 @@ pub enum Message {
     /// every command committed while it was down, and it must not serve reads around
     /// that gap. See `DESIGN.md` §6 ("State transfer").
     MStateRequest,
-    /// Reply to `MStateRequest`: the sender's applied state. The image contains the
-    /// effect of exactly the commands at or below the execution boundary
-    /// `⟨floor_ts, floor_dot⟩` (execution is in `⟨ts, id⟩` order, so the executed set
-    /// is that prefix), which is what makes installation safe: the receiver replaces
-    /// its image, drops queued commits at or below the boundary, and executes
-    /// everything above it on top, reproducing the shard's execution order.
+    /// Reply to `MStateRequest`: the sender's applied state. For every key the image
+    /// contains the effect of exactly the commands at or below that key's execution
+    /// floor (each key executes in `⟨ts, id⟩` order, so its executed set is that
+    /// prefix), which is what makes installation safe: the receiver takes the value
+    /// and floor of every key where the sender is ahead, drops queued commits at or
+    /// below those floors, and executes everything above them on top, reproducing
+    /// each key's execution order.
     MState {
-        /// Timestamp of the sender's last executed command.
-        floor_ts: u64,
-        /// Dot of the sender's last executed command.
-        floor_dot: Dot,
+        /// The sender's per-key execution floors `(key, ts, dot)`.
+        floors: Vec<KeyFloor>,
         /// The applied key-value image as `(key, value)` pairs.
         kv: Vec<(Key, u64)>,
         /// The sender's per-origin executed watermarks (seeds the receiver's GC).
@@ -284,12 +284,13 @@ impl WireSize for Message {
             Message::MPromiseRepair { pending, .. } => 24 + pending.len() * 24,
             Message::MRejoinAck { prefixes, .. } => 32 + prefixes.len() * 16,
             Message::MState {
+                floors,
                 kv,
                 watermarks,
                 queued,
-                ..
             } => {
-                48 + kv.len() * 16
+                24 + floors.len() * 32
+                    + kv.len() * 16
                     + watermarks.len() * 16
                     + queued
                         .iter()

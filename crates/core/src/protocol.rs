@@ -14,11 +14,12 @@
 //!   Appendix B (`MRecNAck`, `MCommitRequest`, periodic payload resend).
 
 use crate::clock::Clock;
-use crate::executor::{ExecutionInfo, TempoExecutor};
+use crate::executor::{keys_at, ExecutionInfo, Placement, TempoExecutor};
 use crate::gc::GcTracker;
 use crate::info::{CommandInfo, Phase};
 use crate::messages::{Message, PromiseBundle, Quorums, RecPhase};
 use crate::promises::{PromiseRange, PromiseTracker};
+use crate::stability::KeyStability;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use tempo_kernel::command::{Command, Key};
@@ -30,7 +31,7 @@ use tempo_kernel::protocol::{
 };
 use tempo_kernel::trace::{CmdPhase, ProcEvent, Tracer};
 use tempo_kernel::util::max_and_count;
-use tempo_store::snapshot::{AcceptState, QueuedCommit};
+use tempo_store::snapshot::{AcceptState, KeyFloor, QueuedCommit};
 use tempo_store::{Snapshot, Store, WalRecord};
 
 /// Timer driving the periodic `MPromises` broadcast (Algorithm 2, line 45).
@@ -126,7 +127,16 @@ pub struct Tempo {
     rank: u64,
     dot_gen: DotGen,
     clock: Clock,
+    /// The commit-gated promise tracker (Algorithm 2): attached promises enter it only
+    /// once their command commits locally (line 47). It is the only source of what
+    /// this process ships about promises — the `MPromises` frontier, `MRejoinAck`
+    /// prefixes, `MPromiseRepair` — and of the WAL `Stable` record.
     promises: PromiseTracker,
+    /// Per-key stability detection over the receipt-fed promise tracker (everything the
+    /// commit-gated one gets, plus each attached promise as soon as its command's
+    /// payload is known; never shipped): releases committed commands to the executor
+    /// once they are stable on their keys (see [`crate::stability`]).
+    key_stability: KeyStability,
     info: BTreeMap<Dot, CommandInfo>,
     /// Dots not yet committed at this process (for the periodic liveness scan).
     pending: BTreeSet<Dot>,
@@ -150,9 +160,6 @@ pub struct Tempo {
     last_exec_progress_us: u64,
     /// Last time this process asked peers to re-state their promises (rate limit).
     last_repair_request_us: u64,
-    /// The last stability watermark fed to the executor; feeds are skipped (and the
-    /// executor left untouched) while the watermark has not advanced.
-    last_stable_fed: u64,
     metrics: ProtocolMetrics,
     /// Processes suspected to have failed (used to pick the recovery leader and to avoid
     /// dead processes when choosing fast quorums for new commands).
@@ -186,13 +193,13 @@ pub struct Tempo {
     /// peer's `MState`: execution (and thus read service) stays gated so the replica
     /// cannot answer reads from a store missing the commands it slept through.
     awaiting_state: bool,
-    /// Commits whose timestamp fell at or below `last_stable_fed` but that were *not*
-    /// covered by a state transfer (`(final_ts, dot) > exec_floor`). Feeding such a
-    /// command to the executor would execute it out of timestamp order, and skipping
-    /// it silently would leave a hole in the store while later commands keep reading
-    /// from it — so the executor is gated until a state transfer whose floor covers
-    /// every recorded gap is installed.
-    exec_gaps: BTreeSet<(u64, Dot)>,
+    /// Commits that arrived after a later command on some of their keys already
+    /// executed here, and that no state transfer covered ([`Placement::Behind`]), with
+    /// their keys. Feeding such a command to the executor would execute it out of
+    /// order on that key, and skipping it silently would leave a hole in the store
+    /// while later commands keep reading from it — so the executor is gated until a
+    /// state transfer whose floors cover every recorded gap is installed.
+    exec_gaps: BTreeMap<(u64, Dot), Vec<Key>>,
     /// Suspected commit holes: dots covered by a shard peer's executed frontier
     /// (piggybacked on `MPromises`) that this process has no record of — no
     /// `CommandInfo`, not executed, not collected. Such a dot is a commit this replica
@@ -202,8 +209,9 @@ pub struct Tempo {
     /// a silent hole in the store. Values are `(first_seen_us, last_probe_us)`:
     /// suspects older than the probe timeout are asked around (`MCommitRequest`) from
     /// the liveness timer — in-flight commits resolve themselves within the grace
-    /// period — and the answered commit lands below the stable watermark, where the
-    /// `exec_gaps` gate turns it into a state transfer.
+    /// period — and the answered commit is placed against its keys' execution
+    /// floors in `commit_with` (executed in order, or skipped and gated behind a
+    /// state transfer).
     hole_suspects: BTreeMap<Dot, (u64, u64)>,
     /// Last time an `MStateRequest` was sent (retry pacing under message loss).
     last_state_request_us: u64,
@@ -230,6 +238,7 @@ impl Tempo {
             .expect("process must belong to its shard") as u64
             + 1;
         let promises = PromiseTracker::new(&shard_peers, config.stability_index());
+        let key_stability = KeyStability::new(&shard_peers, config.stability_index());
         let gc = GcTracker::new(process, &shard_peers);
         let view = View::trivial(config, process);
         Self {
@@ -244,6 +253,7 @@ impl Tempo {
             dot_gen: DotGen::new(process),
             clock: Clock::new(),
             promises,
+            key_stability,
             info: BTreeMap::new(),
             pending: BTreeSet::new(),
             executor: TempoExecutor::new(process, shard, config),
@@ -254,7 +264,6 @@ impl Tempo {
             exec_skipped: 0,
             last_exec_progress_us: 0,
             last_repair_request_us: 0,
-            last_stable_fed: 0,
             metrics: ProtocolMetrics::default(),
             suspected: BTreeSet::new(),
             joined: true,
@@ -266,7 +275,7 @@ impl Tempo {
             appends_at_snapshot: 0,
             recovered: false,
             awaiting_state: false,
-            exec_gaps: BTreeSet::new(),
+            exec_gaps: BTreeMap::new(),
             hole_suspects: BTreeMap::new(),
             last_state_request_us: 0,
             state_request_attempts: 0,
@@ -304,9 +313,17 @@ impl Tempo {
         self.clock.value()
     }
 
-    /// The highest stable timestamp at this process (Theorem 1).
+    /// The highest stable timestamp at this process (Theorem 1), from the commit-gated
+    /// tracker: every command with a timestamp at or below it is committed here.
     pub fn stable_timestamp(&self) -> u64 {
         self.promises.stable_timestamp()
+    }
+
+    /// The receipt-fed stability watermark: like [`Self::stable_timestamp`], but
+    /// attached promises count once their command's payload is known here. It drives
+    /// per-key stability and is never shipped.
+    pub fn receipt_stable_timestamp(&self) -> u64 {
+        self.key_stability.watermark()
     }
 
     /// The phase of a command at this process, if known.
@@ -455,9 +472,59 @@ impl Tempo {
         self.clock.bump(t);
         let after = self.clock.value();
         if after > before {
-            self.promises
-                .add(self.process, PromiseRange::new(before + 1, after));
+            self.add_promise(self.process, PromiseRange::new(before + 1, after));
             self.wal_log_clock_floor();
+        }
+    }
+
+    /// Registers a promise range in both trackers (ranges carry no command, so the
+    /// commit gate does not apply to them).
+    fn add_promise(&mut self, process: ProcessId, range: PromiseRange) {
+        self.promises.add(process, range);
+        self.key_stability.add(process, range);
+    }
+
+    /// Registers the attached promise `⟨process, ts⟩` of a command that committed (or
+    /// was collected) here in both trackers.
+    fn add_committed_attached(&mut self, process: ProcessId, ts: u64) {
+        self.promises.add_single(process, ts);
+        self.key_stability.add(process, PromiseRange::single(ts));
+    }
+
+    /// Holds back the attached promise `⟨process, ts⟩` of the uncommitted command `dot`:
+    /// from the commit-gated tracker until the command commits (Algorithm 2, line 47),
+    /// from the receipt-fed one only until its payload — and thus its keys — is known.
+    /// Once the payload is known, the proposal also blocks the command's keys.
+    fn buffer_attached(&mut self, dot: Dot, process: ProcessId, ts: u64, now_us: u64) {
+        let shard = self.shard;
+        let keys = {
+            let info = self.info_mut(dot, now_us);
+            if info.buffered_attached.contains(&(process, ts)) {
+                return;
+            }
+            info.buffered_attached.push((process, ts));
+            info.cmd.as_ref().map(|cmd| keys_at(cmd, shard))
+        };
+        if let Some(keys) = keys {
+            self.key_stability.propose(dot, &keys, process, ts);
+        }
+    }
+
+    /// The payload of the uncommitted command `dot` just became known: its buffered
+    /// attached promises enter the receipt-fed tracker and block its keys.
+    fn payload_learned(&mut self, dot: Dot) {
+        let Some(info) = self.info.get(&dot) else {
+            return;
+        };
+        if info.phase.is_committed_or_executed() || info.buffered_attached.is_empty() {
+            return;
+        }
+        let Some(cmd) = &info.cmd else {
+            return;
+        };
+        let keys = keys_at(cmd, self.shard);
+        for &(process, ts) in &info.buffered_attached {
+            self.key_stability.propose(dot, &keys, process, ts);
         }
     }
 
@@ -472,18 +539,16 @@ impl Tempo {
             None
         };
         if let Some(range) = detached {
-            self.promises.add(self.process, range);
+            self.add_promise(self.process, range);
         }
-        // The attached promise ⟨self, t⟩ only enters the tracker once the command commits
-        // locally (Algorithm 2, line 47). It also pins the safe promise frontier below
+        // The attached promise ⟨self, t⟩ only enters the commit-gated tracker once the
+        // command commits locally (Algorithm 2, line 47); the payload is known, so it
+        // enters the receipt-fed one now. It also pins the safe promise frontier below
         // `t` until the command is executed at every shard peer.
         if self.attached_ts.insert(dot, t).is_none() {
             self.attached_pending.insert((t, dot));
         }
-        let process = self.process;
-        self.info_mut(dot, now_us)
-            .buffered_attached
-            .push((process, t));
+        self.buffer_attached(dot, self.process, t, now_us);
         self.wal_log_clock_floor();
         (t, detached)
     }
@@ -609,25 +674,20 @@ impl Tempo {
     /// Restores this instance from its store's snapshot and WAL suffix (called from
     /// [`Tempo::with_store`], before the instance handles anything).
     ///
-    /// Replay is executor-order-agnostic: the snapshot's queued commits and the WAL's
-    /// `Commit` records are re-fed as ordinary `Committed` events with the stability
-    /// watermark restored to its snapshot-time value, and the executor re-derives
-    /// `⟨ts, id⟩` execution order itself — the line-47 commit gate guarantees every
-    /// WAL-suffix commit lies strictly above the snapshot's watermark, so nothing can
-    /// execute out of order during replay (DESIGN.md §6, cut-point argument).
+    /// Replay re-feeds the executor exactly the events it was fed before the crash: the
+    /// snapshot's queued commits (with their stability flags), then the WAL's `Commit`,
+    /// `KeyStable` and `SiblingStable` records in append order. Execution is a
+    /// deterministic function of that sequence, so the executed set comes back exactly
+    /// (DESIGN.md §6, cut-point argument). Commits not yet stable wait in the
+    /// per-key stability detector again afterwards.
     fn recover_from_store(&mut self, snapshot: Option<Snapshot>, wal: Vec<WalRecord>) {
         let empty = snapshot.is_none() && wal.is_empty();
         let replayed_wal = !wal.is_empty();
         if let Some(snap) = snapshot {
             self.clock.bump(snap.clock);
             self.dot_gen.skip_to(snap.next_dot_seq);
-            self.executor.restore(
-                snap.stable,
-                (snap.floor_ts, snap.floor_dot),
-                snap.executed_count,
-                snap.kv,
-            );
-            self.last_stable_fed = snap.stable;
+            self.executor
+                .restore(snap.floors, snap.executed_count, snap.kv);
             // Every snapshot-covered execution was a commit; keep the two counters
             // consistent so the stall detector (`repair_scan`) stays meaningful.
             self.metrics.committed = snap.executed_count;
@@ -642,6 +702,9 @@ impl Tempo {
             }
             for q in snap.queued {
                 self.replay_commit(q.dot, q.ts, q.cmd, q.waits);
+                if q.stable {
+                    self.replay_feed(ExecutionInfo::Stable { dot: q.dot });
+                }
             }
         }
         for record in wal {
@@ -667,12 +730,19 @@ impl Tempo {
                 WalRecord::SiblingStable { dot, shard } => {
                     self.replay_feed(ExecutionInfo::ShardStable { dot, shard });
                 }
-                WalRecord::Stable(ts) => {
-                    if ts > self.last_stable_fed {
-                        self.last_stable_fed = ts;
-                        self.replay_feed(ExecutionInfo::Stable { ts });
-                    }
+                // Written by earlier versions (the commit-gated watermark); execution
+                // is released per command by `KeyStable`, so it carries nothing here.
+                WalRecord::Stable(_) => {}
+                WalRecord::KeyStable(dot) => {
+                    self.replay_feed(ExecutionInfo::Stable { dot });
                 }
+            }
+        }
+        // Replayed commits that were not yet stable wait for per-key stability again.
+        for (dot, ts, cmd, _, stable) in self.executor.queued_entries() {
+            if !stable {
+                self.key_stability
+                    .commit(dot, keys_at(&cmd, self.shard), ts);
             }
         }
         // The floor bumps above buffered promises over the previous life's range; a
@@ -708,7 +778,11 @@ impl Tempo {
         self.pending.remove(&dot);
         self.metrics.committed += 1;
         self.clock.bump(final_ts);
-        if (final_ts, dot) <= self.executor.exec_floor() {
+        if self
+            .executor
+            .placement(final_ts, dot, &keys_at(&cmd, self.shard))
+            != Placement::Open
+        {
             // Defensive: already inside the restored image (cannot happen for records
             // the cut-point argument admits, but a replayed log must never double-apply).
             let info = self.info.get_mut(&dot).expect("info exists");
@@ -746,26 +820,13 @@ impl Tempo {
     /// Builds the durable snapshot of the current state (see [`Snapshot`] for what must
     /// be carried and why).
     fn build_snapshot(&self) -> Snapshot {
-        let (floor_ts, floor_dot) = self.executor.exec_floor();
         Snapshot {
             clock: self.clock.value(),
-            stable: self.last_stable_fed,
-            floor_ts,
-            floor_dot,
+            floors: self.executor.floors(),
             next_dot_seq: self.dot_gen.generated(),
             executed_count: self.executor.executed(),
             kv: self.executor.kv_entries(),
-            queued: self
-                .executor
-                .queued_entries()
-                .into_iter()
-                .map(|(dot, ts, cmd, waits)| QueuedCommit {
-                    dot,
-                    ts,
-                    cmd,
-                    waits,
-                })
-                .collect(),
+            queued: self.queued_commits(),
             accepts: self
                 .info
                 .iter()
@@ -779,6 +840,21 @@ impl Tempo {
                 .collect(),
             watermarks: self.gc.executed_frontier(),
         }
+    }
+
+    /// The executor's committed-but-unexecuted commands, for snapshots and `MState`.
+    fn queued_commits(&self) -> Vec<QueuedCommit> {
+        self.executor
+            .queued_entries()
+            .into_iter()
+            .map(|(dot, ts, cmd, waits, stable)| QueuedCommit {
+                dot,
+                ts,
+                cmd,
+                waits,
+                stable,
+            })
+            .collect()
     }
 
     /// Installs a snapshot once enough WAL records accumulated since the last one.
@@ -850,32 +926,18 @@ impl Tempo {
             // Mid-rejoin (or mid-transfer) state is not a trustworthy image.
             return;
         }
-        let (floor_ts, floor_dot) = self.executor.exec_floor();
         let msg = Message::MState {
-            floor_ts,
-            floor_dot,
+            floors: self.executor.floors(),
             kv: self.executor.kv_entries(),
             watermarks: self.gc.executed_frontier(),
-            queued: self
-                .executor
-                .queued_entries()
-                .into_iter()
-                .map(|(dot, ts, cmd, waits)| QueuedCommit {
-                    dot,
-                    ts,
-                    cmd,
-                    waits,
-                })
-                .collect(),
+            queued: self.queued_commits(),
         };
         self.send(&[from], msg, now_us, out);
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn handle_state(
         &mut self,
-        floor_ts: u64,
-        floor_dot: Dot,
+        floors: Vec<KeyFloor>,
         kv: Vec<(Key, u64)>,
         watermarks: Vec<(ProcessId, u64)>,
         queued: Vec<QueuedCommit>,
@@ -886,14 +948,16 @@ impl Tempo {
             return; // Late duplicate (or a transfer this instance never asked for).
         }
         self.awaiting_state = false;
-        let floor = (floor_ts, floor_dot);
-        let installed = floor > self.executor.exec_floor();
+        let installed = floors
+            .iter()
+            .any(|(key, ts, dot)| (*ts, *dot) > self.executor.floor_of(*key));
         if installed {
-            let dropped = self.executor.install_transfer(kv, floor);
+            let dropped = self.executor.install_transfer(kv, floors);
             for dot in &dropped {
                 // Queued commits covered by the transferred image: their effects are
                 // present without the local executor applying them.
                 let info = self.info.get_mut(dot).expect("queued commands have info");
+                self.key_stability.unwait(info.final_ts, *dot);
                 info.phase = Phase::Execute;
                 info.proposal_detached.clear();
                 info.proposals.clear();
@@ -907,35 +971,31 @@ impl Tempo {
             }
             self.gc_collect();
         }
-        // Absorb the donor's committed-but-unexecuted queue *before* raising the local
-        // stability watermark: every entry is above the donor's floor, so with the
-        // watermark still at its pre-transfer value the entries commit onto the
-        // (possibly just-installed) image in normal ⟨ts, id⟩ order instead of tripping
-        // the below-stability skip path in `commit_with`.
+        // Absorb the donor's committed-but-unexecuted queue: every entry is above the
+        // donor's floors on its keys, so it commits onto the (possibly just-installed)
+        // image in normal per-key ⟨ts, id⟩ order.
         self.absorb_transferred_commits(queued, now_us, out);
         if installed {
-            self.last_stable_fed = self.last_stable_fed.max(floor_ts);
             self.last_exec_progress_us = now_us;
             // Write-through: the back-filled image lives only in the executor until a
             // snapshot captures it — force one so a second crash keeps the back-fill.
             self.force_snapshot();
         }
-        // Execution gaps now covered by the (possibly just-raised) floor are closed:
-        // their effects are part of the installed image. If any gap remains above the
+        // Execution gaps now covered by the (possibly just-raised) floors are closed:
+        // their effects are part of the installed image. If any gap remains above a
         // floor, the store is still incomplete — stay gated and keep requesting
         // (`TIMER_LIVENESS` re-sends while `awaiting_state`); the donor keeps
-        // executing, so its floor eventually passes every gap.
-        let exec_floor = self.executor.exec_floor();
+        // executing, so its floors eventually pass every gap.
         let mut closed_any = false;
-        for (ts, dot) in std::mem::take(&mut self.exec_gaps) {
-            if (ts, dot) <= exec_floor {
+        for ((ts, dot), keys) in std::mem::take(&mut self.exec_gaps) {
+            if self.executor.placement(ts, dot, &keys) == Placement::Covered {
                 // Deferred from `commit_with`'s skip branch: only now that the
                 // installed image contains the command's effect may its dot enter
                 // the executed frontier.
                 self.gc.record_executed(dot);
                 closed_any = true;
             } else {
-                self.exec_gaps.insert((ts, dot));
+                self.exec_gaps.insert((ts, dot), keys);
             }
         }
         if closed_any {
@@ -1047,10 +1107,14 @@ impl Tempo {
         self.tracer
             .phase(now_us, self.process, cmd.rifl, CmdPhase::PayloadDelivered);
         let info = self.info_mut(dot, now_us);
+        let learned = !info.has_payload();
         info.learn_payload(&cmd, &quorums);
         if info.phase == Phase::Start {
             info.phase = Phase::Payload;
             self.pending.insert(dot);
+        }
+        if learned {
+            self.payload_learned(dot);
         }
         // A commit may have been waiting for the payload (multi-shard races).
         self.try_complete_commit(dot, now_us, out);
@@ -1070,16 +1134,20 @@ impl Tempo {
         // Algorithm 1, lines 12-16 (pre: id ∈ start).
         self.tracer
             .phase(now_us, self.process, cmd.rifl, CmdPhase::PayloadDelivered);
-        {
+        let (learned, started) = {
             let info = self.info_mut(dot, now_us);
-            if info.phase != Phase::Start {
-                // Either recovery already reached this process or a commit arrived first;
-                // in both cases we must not produce a proposal anymore.
-                info.learn_payload(&cmd, &quorums);
-                self.try_complete_commit(dot, now_us, out);
-                return;
-            }
+            let learned = !info.has_payload();
             info.learn_payload(&cmd, &quorums);
+            (learned, info.phase == Phase::Start)
+        };
+        if learned {
+            self.payload_learned(dot);
+        }
+        if !started {
+            // Either recovery already reached this process or a commit arrived first;
+            // in both cases we must not produce a proposal anymore.
+            self.try_complete_commit(dot, now_us, out);
+            return;
         }
         if !self.joined {
             // A restarted process must not propose until the rejoin handshake recovered
@@ -1289,41 +1357,43 @@ impl Tempo {
             self.tracer
                 .process_event(now_us, self.process, ProcEvent::RecoveryCompleted);
         }
-        // Attached promises for this command may now enter the tracker (line 47).
+        // Attached promises for this command may now enter the commit-gated tracker
+        // (line 47); the receipt-fed one has them already unless the payload arrived
+        // with the commit itself.
         for (process, ts) in buffered {
-            self.promises.add_single(process, ts);
+            self.add_committed_attached(process, ts);
         }
         // Generate detached promises up to the committed timestamp (line 25/59); this is
         // what lets stability reach `final_ts` even when it exceeds this shard's clocks.
         self.clock_bump(final_ts);
-        // A commit at or below the execution boundary is a duplicate of state this
-        // replica already *holds*: a rejoin state transfer installed a peer's image
-        // complete up to the boundary, so the command's effect is present even though
-        // the local executor never applied it.
-        let transferred = (final_ts, dot) <= self.executor.exec_floor();
-        if transferred || final_ts <= self.last_stable_fed {
-            // Not placeable in ⟨ts, id⟩ order anymore. In the normal regime this cannot
-            // happen — the line-47 commit gate keeps the local stable watermark
-            // strictly below a command's timestamp until it commits locally — but a
-            // *restarted* incarnation's tracker is deliberately seeded past old
+        let keys = keys_at(&cmd, self.shard);
+        let placement = self.executor.placement(final_ts, dot, &keys);
+        if placement != Placement::Open {
+            // Not placeable in per-key ⟨ts, id⟩ order anymore. In the normal regime
+            // this cannot happen — per-key stability keeps every command on a key
+            // queued until no command on that key can still commit below it — but a
+            // *restarted* incarnation's trackers are deliberately seeded past old
             // commands (rejoin prefixes, safe frontiers, promise repairs), so late
-            // back-fills of pre-crash commands land below stability. Two cases:
-            // `transferred` means the effect is already in the installed image (a true
-            // duplicate); otherwise the command is skipped *unapplied* — the store is
-            // now missing a write below the stable watermark, so execution is GATED
-            // (the gap is recorded and a state transfer covering it is requested)
-            // until a peer's image closes the hole. Without the gate, later commands
-            // would keep executing on the incomplete store and return values computed
-            // without the skipped write. Either way, recording the dot as executed
-            // keeps GC draining and the `MStable` attestation keeps sibling shards
-            // live. Deliberately NOT written to the WAL: replaying an unapplied (or
+            // back-fills of pre-crash commands can land behind executed ones. Two
+            // cases: `Covered` means the floors of all its keys passed it — a rejoin
+            // state transfer installed a peer's image complete up to them (a true
+            // duplicate); `Behind` means some of its keys executed past it while
+            // others did not reach it, so the command is skipped *unapplied* — the
+            // store is now missing a write, so execution is GATED (the gap is
+            // recorded and a state transfer covering it is requested) until a peer's
+            // image closes the hole. Without the gate, later commands would keep
+            // executing on the incomplete store and return values computed without
+            // the skipped write. Either way, recording the dot as executed keeps GC
+            // draining and the `MStable` attestation keeps sibling shards live.
+            // Deliberately NOT written to the WAL: replaying an unapplied (or
             // already-present) command into a partial image would corrupt it.
             self.exec_skipped += 1;
-            let gapped = !transferred && self.options.state_transfer;
+            self.key_stability.forget(dot);
+            let gapped = placement == Placement::Behind && self.options.state_transfer;
             if gapped {
                 // (With `state_transfer` opted out there is no mechanism to close the
                 // gap, so gating would stall forever — the opt-out accepts the hole.)
-                self.exec_gaps.insert((final_ts, dot));
+                self.exec_gaps.insert((final_ts, dot), keys);
                 self.executor.gate();
                 if self.joined && !self.awaiting_state {
                     self.awaiting_state = true;
@@ -1373,6 +1443,8 @@ impl Tempo {
                 waits: waits.clone(),
             });
         }
+        // The command stops blocking its keys and waits for per-key stability itself.
+        self.key_stability.commit(dot, keys, final_ts);
         self.exec_feed(
             ExecutionInfo::Committed {
                 dot,
@@ -1499,7 +1571,7 @@ impl Tempo {
 
     fn absorb_bundle(&mut self, dot: Dot, bundle: PromiseBundle, now_us: u64) {
         for (process, range) in bundle.detached {
-            self.promises.add(process, range);
+            self.add_promise(process, range);
         }
         if bundle.attached.is_empty() {
             return;
@@ -1509,13 +1581,12 @@ impl Tempo {
             .get(&dot)
             .map(|i| i.phase.is_committed_or_executed())
             .unwrap_or(false);
-        if committed {
-            for (process, ts) in bundle.attached {
-                self.promises.add_single(process, ts);
+        for (process, ts) in bundle.attached {
+            if committed {
+                self.add_committed_attached(process, ts);
+            } else {
+                self.buffer_attached(dot, process, ts, now_us);
             }
-        } else {
-            let info = self.info_mut(dot, now_us);
-            info.buffered_attached.extend(bundle.attached);
         }
     }
 
@@ -1537,10 +1608,10 @@ impl Tempo {
         // earlier lost delta (every attached promise below it is committed — indeed
         // executed — at this process, so the line-47 gate is already satisfied).
         if frontier >= 1 {
-            self.promises.add(from, PromiseRange::new(1, frontier));
+            self.add_promise(from, PromiseRange::new(1, frontier));
         }
         for range in detached {
-            self.promises.add(from, range);
+            self.add_promise(from, range);
         }
         for (dot, ts) in attached {
             // A garbage-collected dot is committed (and executed) everywhere, so its
@@ -1554,11 +1625,9 @@ impl Tempo {
                     .map(|i| i.phase.is_committed_or_executed())
                     .unwrap_or(false);
             if committed {
-                self.promises.add_single(from, ts);
+                self.add_committed_attached(from, ts);
             } else {
-                self.info_mut(dot, now_us)
-                    .buffered_attached
-                    .push((from, ts));
+                self.buffer_attached(dot, from, ts, now_us);
             }
         }
         self.sync_stability(now_us, out);
@@ -1606,10 +1675,12 @@ impl Tempo {
         self.exec_feed(ExecutionInfo::ShardStable { dot, shard }, now_us, out);
     }
 
-    /// Pushes the current stability watermark (Theorem 1) into the execution stage —
-    /// but only when it advanced since the last push. The watermark is a cached O(1)
-    /// read, so the steady-state cost of an `MPromises` (or promise-timer fire) that
-    /// taught us nothing new is a single comparison instead of a full executor pass.
+    /// Releases to the execution stage every committed command that became stable on
+    /// its keys under the receipt-fed watermark. The watermark is a cached O(1) read
+    /// and the detector
+    /// examines only the waiting commands an event could have unblocked, so the
+    /// steady-state cost of an `MPromises` (or promise-timer fire) that taught us
+    /// nothing new is a few comparisons.
     fn sync_stability(&mut self, now_us: u64, out: &mut Vec<Action<Message>>) {
         if self.awaiting_state {
             // Execution is gated until the rejoin state transfer installs: advancing
@@ -1617,15 +1688,12 @@ impl Tempo {
             // every command committed while this replica was down.
             return;
         }
-        let stable = self.promises.stable_timestamp();
-        if stable <= self.last_stable_fed {
-            return;
+        for dot in self.key_stability.release() {
+            // Write-ahead: interleaved with `Commit` records, the releases make replay
+            // reproduce the exact pre-crash executed set (DESIGN.md §6).
+            self.wal_append(WalRecord::KeyStable(dot));
+            self.exec_feed(ExecutionInfo::Stable { dot }, now_us, out);
         }
-        self.last_stable_fed = stable;
-        // Write-ahead: interleaving watermark advances with `Commit` records makes
-        // replay reproduce the exact pre-crash execution prefix (DESIGN.md §6).
-        self.wal_append(WalRecord::Stable(stable));
-        self.exec_feed(ExecutionInfo::Stable { ts: stable }, now_us, out);
     }
 
     /// Feeds one event to the execution stage and acts on its output: broadcast
@@ -1719,6 +1787,7 @@ impl Tempo {
                 if let Some(ts) = self.attached_ts.remove(&dot) {
                     self.attached_pending.remove(&(ts, dot));
                 }
+                self.key_stability.forget(dot);
                 self.executor.gc(dot);
             }
         }
@@ -1812,8 +1881,9 @@ impl Tempo {
     /// resolved in the meantime — metadata arrived, a state transfer blanketed them,
     /// or GC collected them — are dropped; persistent ones are asked around for their
     /// commit outcome at the ordinary stale-command probe pace. An answered probe
-    /// commits below the stable watermark and triggers the execution-gap gate, which
-    /// turns the hole into a state transfer.
+    /// commits through `commit_with`: placed in order on its keys when no later
+    /// command on them executed, gated behind a state transfer when the floors show
+    /// the image missing it (`Placement::Behind`).
     fn hole_scan(&mut self, now_us: u64, out: &mut Vec<Action<Message>>) {
         if self.hole_suspects.is_empty() {
             return;
@@ -1912,7 +1982,7 @@ impl Tempo {
                 break; // Pending proposals above the clock cannot exist.
             }
             if ts > next {
-                self.promises.add(from, PromiseRange::new(next, ts - 1));
+                self.add_promise(from, PromiseRange::new(next, ts - 1));
             }
             let committed = self.gc.is_collected(dot)
                 || self
@@ -1921,18 +1991,15 @@ impl Tempo {
                     .map(|i| i.phase.is_committed_or_executed())
                     .unwrap_or(false);
             if committed {
-                self.promises.add_single(from, ts);
+                self.add_committed_attached(from, ts);
             } else {
-                let info = self.info_mut(dot, now_us);
-                if !info.buffered_attached.contains(&(from, ts)) {
-                    info.buffered_attached.push((from, ts));
-                }
+                self.buffer_attached(dot, from, ts, now_us);
                 self.send(&[from], Message::MCommitRequest { dot }, now_us, out);
             }
             next = next.max(ts + 1);
         }
         if next <= clock {
-            self.promises.add(from, PromiseRange::new(next, clock));
+            self.add_promise(from, PromiseRange::new(next, clock));
         }
         self.sync_stability(now_us, out);
     }
@@ -2262,7 +2329,7 @@ impl Tempo {
         // detection works again at this process (a prefix report is a promise witness).
         for (process, prefix) in prefixes {
             if prefix >= 1 {
-                self.promises.add(process, PromiseRange::new(1, prefix));
+                self.add_promise(process, PromiseRange::new(1, prefix));
             }
         }
         // This process plus the repliers form a recovery quorum: safe to participate.
@@ -2395,14 +2462,11 @@ impl Tempo {
             } => self.handle_rejoin_ack(from, clock, your_highest, prefixes, now_us, &mut out),
             Message::MStateRequest => self.handle_state_request(from, now_us, &mut out),
             Message::MState {
-                floor_ts,
-                floor_dot,
+                floors,
                 kv,
                 watermarks,
                 queued,
-            } => self.handle_state(
-                floor_ts, floor_dot, kv, watermarks, queued, now_us, &mut out,
-            ),
+            } => self.handle_state(floors, kv, watermarks, queued, now_us, &mut out),
         }
         out
     }

@@ -16,6 +16,7 @@ use crate::messages::{Message, PromiseBundle, RecPhase};
 use crate::promises::PromiseRange;
 use tempo_kernel::id::Dot;
 use tempo_net::wire::{get_process_map, put_process_map, DecodeError, Wire};
+use tempo_store::snapshot::{get_floors, put_floors};
 use tempo_store::wal::{
     get_command, get_dot, get_pairs, put_command, put_dot, put_pairs, Reader, Writer,
 };
@@ -276,18 +277,17 @@ impl Wire for Message {
                 w.put_u8(TAG_STATE_REQUEST);
             }
             Message::MState {
-                floor_ts,
-                floor_dot,
+                floors,
                 kv,
                 watermarks,
                 queued,
             } => {
                 w.put_u8(TAG_STATE);
-                w.put_u64(*floor_ts);
-                put_dot(w, *floor_dot);
+                put_floors(w, floors);
                 put_pairs(w, kv);
                 put_pairs(w, watermarks);
-                // Same per-entry layout as the snapshot's queued section.
+                // The snapshot's queued-entry layout without the stability flag: the
+                // receiver decides stability on its own keys.
                 w.put_u32(queued.len() as u32);
                 for q in queued {
                     put_dot(w, q.dot);
@@ -392,8 +392,7 @@ impl Wire for Message {
             },
             TAG_STATE_REQUEST => Message::MStateRequest,
             TAG_STATE => {
-                let floor_ts = r.u64()?;
-                let floor_dot = get_dot(r)?;
+                let floors = get_floors(r)?;
                 let kv = get_pairs(r)?;
                 let watermarks = get_pairs(r)?;
                 let n = r.u32()?;
@@ -414,11 +413,11 @@ impl Wire for Message {
                         ts,
                         cmd,
                         waits,
+                        stable: false,
                     });
                 }
                 Message::MState {
-                    floor_ts,
-                    floor_dot,
+                    floors,
                     kv,
                     watermarks,
                     queued,

@@ -93,8 +93,7 @@ pub fn all_messages() -> Vec<Message> {
         },
         Message::MStateRequest,
         Message::MState {
-            floor_ts: 13,
-            floor_dot: dot,
+            floors: vec![(9, 12, Dot::new(2, 5)), (42, 13, dot)],
             kv: vec![(42, 7), (9, 2)],
             watermarks: vec![(0, 30), (1, 28)],
             queued: vec![QueuedCommit {
@@ -102,6 +101,7 @@ pub fn all_messages() -> Vec<Message> {
                 ts: 15,
                 cmd: Command::new(Rifl::new(5, 6), vec![(0, 42, KVOp::Put(8))], 8),
                 waits: vec![1],
+                stable: false,
             }],
         },
     ]

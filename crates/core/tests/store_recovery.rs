@@ -4,7 +4,7 @@
 //! amnesia baseline the `tempo-store` crate exists to eliminate).
 
 use std::collections::BTreeMap;
-use tempo_core::{Message, Tempo, TempoOptions};
+use tempo_core::{Message, PromiseBundle, PromiseRange, Quorums, Tempo, TempoOptions};
 use tempo_kernel::command::{Command, KVOp};
 use tempo_kernel::config::Config;
 use tempo_kernel::harness::LocalCluster;
@@ -272,4 +272,84 @@ fn recovered_instance_does_not_claim_promise_prefixes() {
         actions.is_empty(),
         "a recovered instance must not answer MPromiseRequest: {actions:?}"
     );
+}
+
+/// Per-key stability executes a command while the partition-wide (commit-gated)
+/// watermark is still below it, so that watermark could not bring it back. Replay must bring
+/// that execution back from the `KeyStable` record, or the recovered image would lose
+/// a write the replica already applied (and may have answered a client with).
+#[test]
+fn execution_ahead_of_the_partition_wide_watermark_replays_exactly() {
+    let config = Config::full(3, 1);
+    let store = MemStore::new();
+    let mut live = Tempo::with_store(
+        0,
+        0,
+        config,
+        TempoOptions::default(),
+        Box::new(store.clone()),
+    );
+    let a = Dot::new(1, 1);
+    let b = Dot::new(2, 1);
+    // A (key 1) is proposed by process 1 at 2; process 0 proposes 2 as well.
+    let _ = live.handle(
+        1,
+        Message::MPropose {
+            dot: a,
+            cmd: Command::single(Rifl::new(1, 1), 0, 1, KVOp::Put(10), 0),
+            quorums: Quorums::from([(0, vec![1, 0])]),
+            ts: 2,
+        },
+        0,
+    );
+    // B (key 2) is known but never commits: processes 1 and 2 attached 1 to it, which
+    // holds their commit-gated prefixes at 0.
+    let _ = live.handle(
+        2,
+        Message::MPayload {
+            dot: b,
+            cmd: Command::single(Rifl::new(2, 1), 0, 2, KVOp::Put(20), 0),
+            quorums: Quorums::from([(0, vec![2, 1])]),
+        },
+        0,
+    );
+    for (from, detached) in [(1, vec![]), (2, vec![PromiseRange::single(2)])] {
+        let _ = live.handle(
+            from,
+            Message::MPromises {
+                detached,
+                attached: vec![(b, 1)],
+                executed: vec![],
+                frontier: 0,
+            },
+            0,
+        );
+    }
+    let _ = live.handle(
+        1,
+        Message::MCommit {
+            dot: a,
+            shard: 0,
+            ts: 2,
+            promises: PromiseBundle {
+                attached: vec![(1, 2), (0, 2)],
+                detached: vec![],
+            },
+        },
+        0,
+    );
+    live.persist();
+    assert_eq!(
+        live.stable_timestamp(),
+        0,
+        "the partition-wide watermark is held"
+    );
+    assert_eq!(live.receipt_stable_timestamp(), 2);
+    assert_eq!(live.executor().executed(), 1, "A executed on its key alone");
+    assert_eq!(live.executor().store().get(1), Some(10));
+    let digest = live.executor().store().digest();
+
+    let recovered = rebuild(0, config, store);
+    assert_eq!(recovered.executor().executed(), 1);
+    assert_eq!(recovered.executor().store().digest(), digest);
 }

@@ -5,12 +5,12 @@
 //! timestamp agreement (Property 1), ordering, the fast-path condition of Table 1, the
 //! stability examples of Figures 2-4 and the recovery protocol of §5.
 
-use tempo_core::{Message, Phase, Tempo, TempoOptions};
+use tempo_core::{Message, Phase, PromiseRange, Quorums, Tempo, TempoOptions};
 use tempo_kernel::config::Config;
-use tempo_kernel::harness::LocalCluster;
+use tempo_kernel::harness::{per_key_order, LocalCluster};
 use tempo_kernel::id::{Dot, ProcessId, Rifl};
 use tempo_kernel::kvstore::KVStore;
-use tempo_kernel::protocol::Protocol;
+use tempo_kernel::protocol::{Action, Protocol};
 use tempo_kernel::rand::Rng;
 use tempo_kernel::{Command, KVOp};
 
@@ -227,40 +227,61 @@ fn concurrent_conflicting_commands_agree_on_timestamps_and_order() {
 #[test]
 fn random_interleavings_preserve_ordering_property() {
     // A randomized schedule of submissions and message deliveries; whatever the
-    // interleaving, all replicas must execute the same sequence of conflicting commands.
-    for seed in 0..10u64 {
-        let mut rng = Rng::new(seed);
-        let config = Config::full(5, 1);
-        let mut cluster = LocalCluster::<Tempo>::new(config);
-        let total = 30u64;
-        let mut submitted = 0u64;
-        while submitted < total || cluster.in_flight() > 0 {
-            let submit_now = submitted < total && (cluster.in_flight() == 0 || rng.gen_bool(0.3));
-            if submit_now {
-                let process = rng.gen_range(5);
-                // Two hot keys so that most commands conflict.
-                let key = rng.gen_range(2);
-                submitted += 1;
-                cluster.submit_no_deliver(
-                    process,
-                    Command::single(rifl(process, submitted), 0, key, KVOp::Put(submitted), 0),
-                );
-            } else {
-                cluster.step();
+    // interleaving, all replicas must execute each key's (conflicting) commands in the
+    // same order and end with the same store. On one hot key that per-key order is the
+    // whole execution order, which must then be identical everywhere.
+    for hot_keys in [1u64, 2] {
+        for seed in 0..10u64 {
+            let mut rng = Rng::new(seed);
+            let config = Config::full(5, 1);
+            let mut cluster = LocalCluster::<Tempo>::new(config);
+            let total = 30u64;
+            let mut submitted = 0u64;
+            while submitted < total || cluster.in_flight() > 0 {
+                let submit_now =
+                    submitted < total && (cluster.in_flight() == 0 || rng.gen_bool(0.3));
+                if submit_now {
+                    let process = rng.gen_range(5);
+                    // Few hot keys so that most commands conflict.
+                    let key = rng.gen_range(hot_keys);
+                    submitted += 1;
+                    cluster.submit_no_deliver(
+                        process,
+                        Command::single(rifl(process, submitted), 0, key, KVOp::Put(submitted), 0),
+                    );
+                } else {
+                    cluster.step();
+                }
             }
-        }
-        for _ in 0..5 {
-            cluster.tick_all(5_000);
-        }
-        let reference: Vec<Rifl> = cluster.executed(0).into_iter().map(|e| e.rifl).collect();
-        assert_eq!(
-            reference.len() as u64,
-            total,
-            "seed {seed}: missing executions"
-        );
-        for p in cluster.process_ids().into_iter().skip(1) {
-            let order: Vec<Rifl> = cluster.executed(p).into_iter().map(|e| e.rifl).collect();
-            assert_eq!(order, reference, "seed {seed}: divergent execution at {p}");
+            for _ in 0..5 {
+                cluster.tick_all(5_000);
+            }
+            let executed = cluster.executed(0);
+            let reference: Vec<Rifl> = executed.iter().map(|e| e.rifl).collect();
+            assert_eq!(
+                reference.len() as u64,
+                total,
+                "keys {hot_keys}, seed {seed}: missing executions"
+            );
+            let per_key = per_key_order(&executed);
+            let digest = cluster.process(0).executor().store().digest();
+            for p in cluster.process_ids().into_iter().skip(1) {
+                let executed = cluster.executed(p);
+                if hot_keys == 1 {
+                    let order: Vec<Rifl> = executed.iter().map(|e| e.rifl).collect();
+                    assert_eq!(order, reference, "seed {seed}: divergent execution at {p}");
+                }
+                assert_eq!(
+                    per_key_order(&executed),
+                    per_key,
+                    "keys {hot_keys}, seed {seed}: divergent per-key execution at {p}"
+                );
+                assert_eq!(
+                    cluster.process(p).executor().store().digest(),
+                    digest,
+                    "keys {hot_keys}, seed {seed}: divergent store at {p}"
+                );
+            }
         }
     }
 }
@@ -481,12 +502,23 @@ fn gc_keeps_command_metadata_bounded_over_a_long_run() {
             "no live metadata must remain at {p} after {total} executed commands"
         );
     }
-    // GC must not disturb execution: all replicas executed the same order.
-    let reference: Vec<Rifl> = cluster.executed(0).into_iter().map(|e| e.rifl).collect();
-    assert_eq!(reference.len() as u64, total);
+    // GC must not disturb execution: all replicas executed every key's commands in the
+    // same order (commands on different keys commute) and hold the same store.
+    let executed = cluster.executed(0);
+    assert_eq!(executed.len() as u64, total);
+    let reference = per_key_order(&executed);
+    let digest = cluster.process(0).executor().store().digest();
     for p in [1u64, 2] {
-        let order: Vec<Rifl> = cluster.executed(p).into_iter().map(|e| e.rifl).collect();
-        assert_eq!(order, reference, "divergent execution at {p}");
+        assert_eq!(
+            per_key_order(&cluster.executed(p)),
+            reference,
+            "divergent per-key execution at {p}"
+        );
+        assert_eq!(
+            cluster.process(p).executor().store().digest(),
+            digest,
+            "divergent store at {p}"
+        );
     }
 }
 
@@ -543,4 +575,71 @@ fn executions_follow_timestamp_order_per_process() {
         let executed = cluster.executed(p);
         assert_eq!(executed.len(), 20);
     }
+}
+
+#[test]
+fn attached_promise_for_an_unknown_dot_waits_for_its_payload() {
+    // The receipt-fed tracker takes an attached promise once its command's payload —
+    // and thus its keys — is known; before that, the promise must not count, or the
+    // command could never block the keys it touches.
+    let config = Config::full(3, 1);
+    let mut tempo = Tempo::new(0, 0, config);
+    let unknown = Dot::new(2, 1);
+    // Process 1 attached 1 to the unknown command and promised 2..=5 detached.
+    let _ = tempo.handle(
+        1,
+        Message::MPromises {
+            detached: vec![PromiseRange::new(2, 5)],
+            attached: vec![(unknown, 1)],
+            executed: vec![],
+            frontier: 0,
+        },
+        0,
+    );
+    // Process 2 promised everything up to 5.
+    let _ = tempo.handle(
+        2,
+        Message::MPromises {
+            detached: vec![],
+            attached: vec![],
+            executed: vec![],
+            frontier: 5,
+        },
+        0,
+    );
+    // Prefixes: process 0 at 0, process 1 stuck at 0 behind the gated promise 1.
+    assert_eq!(tempo.receipt_stable_timestamp(), 0);
+    let cmd = Command::single(rifl(2, 1), 0, 7, KVOp::Put(1), 0);
+    let _ = tempo.handle(
+        2,
+        Message::MPayload {
+            dot: unknown,
+            cmd,
+            quorums: Quorums::from([(0, vec![2, 1])]),
+        },
+        0,
+    );
+    // The payload releases process 1's attached promise: its prefix jumps to 5.
+    assert_eq!(tempo.receipt_stable_timestamp(), 5);
+    // The commit-gated tracker still holds it back (the command is not committed).
+    assert_eq!(tempo.stable_timestamp(), 0);
+    // Only the commit-gated tracker leaves the process: the prefixes a rejoining peer
+    // is seeded with still hold process 1 at 0.
+    let acks: Vec<_> = tempo
+        .handle(2, Message::MRejoin, 0)
+        .into_iter()
+        .filter_map(|action| match action {
+            Action::Send {
+                msg: Message::MRejoinAck { prefixes, .. },
+                ..
+            } => Some(prefixes),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(acks.len(), 1);
+    assert!(
+        acks[0].contains(&(1, 0)),
+        "shipped prefixes must be commit-gated: {:?}",
+        acks[0]
+    );
 }

@@ -7,13 +7,29 @@
 //! in the simulator. All dispatch goes through the shared [`Driver`] core: the harness
 //! only owns transport (a FIFO queue) and time (advanced by [`LocalCluster::tick_all`]).
 
-use crate::command::Command;
+use crate::command::{Command, Key};
 use crate::config::Config;
 use crate::driver::{Driver, Output};
-use crate::id::ProcessId;
+use crate::id::{ProcessId, Rifl};
 use crate::protocol::{Executed, Protocol, View};
 use crate::rand::Rng;
 use std::collections::{BTreeMap, VecDeque};
+
+/// Projects an execution sequence onto its keys: for every key, the commands that
+/// accessed it, in execution order. Commands on different keys commute, so this — not
+/// the interleaving across keys — is what replicas must agree on.
+pub fn per_key_order(executed: &[Executed]) -> BTreeMap<Key, Vec<Rifl>> {
+    let mut orders: BTreeMap<Key, Vec<Rifl>> = BTreeMap::new();
+    for e in executed {
+        let mut keys: Vec<Key> = e.result.outputs.iter().map(|(key, _)| *key).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        for key in keys {
+            orders.entry(key).or_default().push(e.rifl);
+        }
+    }
+    orders
+}
 
 /// A message in flight between two processes.
 #[derive(Debug, Clone)]

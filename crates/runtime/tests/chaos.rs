@@ -12,17 +12,21 @@
 //! bar the simulator runs must clear.
 
 use std::path::PathBuf;
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 use tempo_core::{Tempo, TempoOptions};
 use tempo_fault::{FaultEvent, NemesisSchedule, RandomNemesisOpts};
 use tempo_kernel::config::Config;
-use tempo_runtime::{run_workload, NetCluster, NetOpts, RuntimeFactory, RuntimeReport};
-use tempo_workload::RwConflict;
+use tempo_runtime::{NetCluster, NetOpts, RuntimeFactory, RuntimeReport};
+use tempo_workload::{RwConflict, Workload};
 
 const CLIENTS_PER_SITE: usize = 2;
-/// Long enough that the run is still in flight when the last scheduled fault fires
-/// (loopback commands complete in milliseconds; the schedules below span ~1 s).
+/// Commands every client issues at least; clients keep going past this until the
+/// schedule's last incident has fired (see [`run_clients`]).
 const COMMANDS_PER_CLIENT: usize = 40;
+/// How long clients keep submitting after the schedule's last incident, so the
+/// cluster also serves traffic once the last fault (often a heal or restart) is in.
+const AFTER_LAST_INCIDENT: Duration = Duration::from_millis(200);
 
 /// Protocol timeouts tightened for wall-clock chaos runs: recovery fires within
 /// hundreds of milliseconds instead of seconds, so a crashed coordinator's commands
@@ -53,6 +57,9 @@ fn run_chaos(seed: u64, name: &str, schedule: NemesisSchedule) -> RuntimeReport 
     ));
     let _ = std::fs::remove_dir_all(&root);
     let config = Config::full(3, 1);
+    let last_incident = schedule.events().iter().map(|(at, _)| *at).max();
+    let until = Duration::from_micros(last_incident.unwrap_or(0)) + AFTER_LAST_INCIDENT;
+    let started = Instant::now();
     let cluster = NetCluster::start(
         config,
         NetOpts {
@@ -68,17 +75,20 @@ fn run_chaos(seed: u64, name: &str, schedule: NemesisSchedule) -> RuntimeReport 
         filestore_factory(root.clone()),
     )
     .expect("cluster starts");
-    let tally = run_workload(
+    let tally = run_clients(
         &cluster,
-        CLIENTS_PER_SITE,
-        COMMANDS_PER_CLIENT,
+        started + until,
         RwConflict::new(0.6, 0.5, 16, seed),
     );
     let report = cluster.shutdown();
     let _ = std::fs::remove_dir_all(&root);
+    assert!(
+        tally.submitted >= (3 * CLIENTS_PER_SITE * COMMANDS_PER_CLIENT) as u64,
+        "every client must issue its commands ({name}, seed {seed}): {tally:?}"
+    );
     assert_eq!(
         tally.completed + tally.aborted,
-        (3 * CLIENTS_PER_SITE * COMMANDS_PER_CLIENT) as u64,
+        tally.submitted,
         "every command must be accounted for ({name}, seed {seed})"
     );
     assert!(
@@ -90,6 +100,56 @@ fn run_chaos(seed: u64, name: &str, schedule: NemesisSchedule) -> RuntimeReport 
         panic!("{name} seed {seed}: history checker failed: {violation}");
     }
     report
+}
+
+/// What the closed-loop clients of one run did.
+#[derive(Debug, Default)]
+struct Tally {
+    submitted: u64,
+    completed: u64,
+    aborted: u64,
+}
+
+/// Runs `CLIENTS_PER_SITE` closed-loop clients per site, each issuing at least
+/// `COMMANDS_PER_CLIENT` commands and continuing until `until`. Loopback commands
+/// complete in milliseconds, so a fixed-size workload can finish before the first
+/// scheduled incident fires and the run then injects nothing; submitting until the
+/// schedule's last incident has fired keeps every incident under load.
+fn run_clients(cluster: &NetCluster, until: Instant, workload: RwConflict) -> Tally {
+    let workload = Arc::new(Mutex::new(workload));
+    let mut threads = Vec::new();
+    let mut client_id = 0;
+    for site in 0..3 {
+        for _ in 0..CLIENTS_PER_SITE {
+            let mut session = cluster.client(site, client_id).expect("client endpoint");
+            client_id += 1;
+            let workload = Arc::clone(&workload);
+            threads.push(std::thread::spawn(move || {
+                let mut tally = Tally::default();
+                while tally.submitted < COMMANDS_PER_CLIENT as u64 || Instant::now() < until {
+                    let cmd = workload
+                        .lock()
+                        .expect("workload lock")
+                        .next_command(session.id());
+                    tally.submitted += 1;
+                    if session.submit(cmd).is_some() {
+                        tally.completed += 1;
+                    } else {
+                        tally.aborted += 1;
+                    }
+                }
+                tally
+            }));
+        }
+    }
+    let mut total = Tally::default();
+    for thread in threads {
+        let tally = thread.join().expect("client thread");
+        total.submitted += tally.submitted;
+        total.completed += tally.completed;
+        total.aborted += tally.aborted;
+    }
+    total
 }
 
 /// Coordinator crash mid-commit, then a restart: the killed replica's thread dies

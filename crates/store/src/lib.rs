@@ -8,10 +8,10 @@
 //! is its mechanism:
 //!
 //! * [`wal`] — append-only log of [`WalRecord`]s (per-dot ballot/accept/commit state,
-//!   sibling-shard stability attestations, chunked clock and dot floors),
-//!   length+CRC-framed, replayed on open with torn-tail truncation;
+//!   per-key stability releases, sibling-shard stability attestations, chunked clock
+//!   and dot floors), length+CRC-framed, replayed on open with torn-tail truncation;
 //! * [`snapshot`] — periodic [`Snapshot`]s of the applied state (key-value image,
-//!   execution boundary, pending queue, consensus state, GC watermarks) that truncate
+//!   per-key execution floors, pending queue, consensus state, GC watermarks) that truncate
 //!   the log;
 //! * the [`Store`] trait with two backends: [`MemStore`], an in-memory byte store whose
 //!   cloned handles share contents (the simulator's deterministic stand-in for a disk

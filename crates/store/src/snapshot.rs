@@ -5,17 +5,19 @@
 //! fact not re-derivable from the WAL suffix (DESIGN.md §6 gives the cut-point safety
 //! argument):
 //!
-//! * the applied key-value state and the execution boundary it corresponds to (the
-//!   `(timestamp, dot)` pair of the last executed command — execution pops in
-//!   `⟨ts, id⟩` order, so the executed set is exactly that prefix),
-//! * the committed-but-unexecuted queue (with each entry's remaining sibling-shard
-//!   waits) — their `Commit` WAL records are being truncated,
+//! * the applied key-value state and the per-key execution floors it corresponds to
+//!   (for every key, the `(timestamp, dot)` pair of the last command executed on it —
+//!   each key's commands execute in `⟨ts, id⟩` order, so the executed set is exactly
+//!   the union of those per-key prefixes),
+//! * the committed-but-unexecuted queue, with each entry's remaining sibling-shard
+//!   waits and whether it was already released as stable on its keys — their
+//!   `Commit` and `KeyStable` WAL records are being truncated,
 //! * the consensus state (`ts`/`bal`/`abal`) of still-pending dots — their
 //!   `Ballot`/`Accept` records are being truncated,
 //! * the timestamping clock floor and the per-origin executed watermarks feeding
 //!   committed-command GC.
 //!
-//! A snapshot is encoded as one checksummed frame behind the magic `b"TSN1"`, written
+//! A snapshot is encoded as one checksummed frame behind the magic `b"TSN2"`, written
 //! to a temporary file and renamed into place, so a crash mid-install leaves the
 //! previous snapshot intact.
 
@@ -23,11 +25,36 @@ use crate::wal::{
     frame, get_command, get_dot, get_pairs, put_command, put_dot, put_pairs, read_frame,
     DecodeError, Reader, Writer,
 };
-use tempo_kernel::command::Command;
+use tempo_kernel::command::{Command, Key};
 use tempo_kernel::id::{Dot, ProcessId, ShardId};
 
-/// Magic + version prefix of a snapshot stream.
-pub const SNAPSHOT_MAGIC: &[u8; 4] = b"TSN1";
+/// Magic + version prefix of a snapshot stream (v2: per-key floors replace the single
+/// execution boundary, queued entries carry their per-key stability flag, and the
+/// logged stability watermark is gone).
+pub const SNAPSHOT_MAGIC: &[u8; 4] = b"TSN2";
+
+/// The execution floor of one key: `(key, ts, dot)` of the last command executed on it.
+pub type KeyFloor = (Key, u64, Dot);
+
+/// Encodes per-key floors as `[count u32]` then `key, ts, dot` each.
+pub fn put_floors(w: &mut Writer, floors: &[KeyFloor]) {
+    w.put_u32(floors.len() as u32);
+    for (key, ts, dot) in floors {
+        w.put_u64(*key);
+        w.put_u64(*ts);
+        put_dot(w, *dot);
+    }
+}
+
+/// Decodes per-key floors written by [`put_floors`].
+pub fn get_floors(r: &mut Reader<'_>) -> Result<Vec<KeyFloor>, DecodeError> {
+    let n = r.u32()?;
+    let mut out = Vec::new();
+    for _ in 0..n {
+        out.push((r.u64()?, r.u64()?, get_dot(r)?));
+    }
+    Ok(out)
+}
 
 /// A committed command still queued for execution at snapshot time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,6 +67,9 @@ pub struct QueuedCommit {
     pub cmd: Command,
     /// Sibling shards whose stability attestation is still missing.
     pub waits: Vec<ShardId>,
+    /// Whether the command was already released as stable on its keys (its
+    /// `KeyStable` record is among those the snapshot truncates).
+    pub stable: bool,
 }
 
 /// The consensus state of a dot still pending at snapshot time.
@@ -56,16 +86,12 @@ pub struct AcceptState {
 }
 
 /// A point-in-time image of one replica's durable state.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Snapshot {
     /// The timestamping clock floor: recovery must never propose at or below it.
     pub clock: u64,
-    /// The stability watermark last fed to the executor.
-    pub stable: u64,
-    /// Timestamp of the last executed command (the execution boundary).
-    pub floor_ts: u64,
-    /// Dot of the last executed command (`(0, 0)` when nothing executed yet).
-    pub floor_dot: Dot,
+    /// The per-key execution floors, in key order (keys nothing executed on are absent).
+    pub floors: Vec<KeyFloor>,
     /// The dot-generator position (best effort; incarnation bands are the primary
     /// defence against dot reuse, see DESIGN.md §6).
     pub next_dot_seq: u64,
@@ -81,31 +107,12 @@ pub struct Snapshot {
     pub watermarks: Vec<(ProcessId, u64)>,
 }
 
-impl Default for Snapshot {
-    fn default() -> Self {
-        Self {
-            clock: 0,
-            stable: 0,
-            floor_ts: 0,
-            floor_dot: Dot::new(0, 0),
-            next_dot_seq: 0,
-            executed_count: 0,
-            kv: Vec::new(),
-            queued: Vec::new(),
-            accepts: Vec::new(),
-            watermarks: Vec::new(),
-        }
-    }
-}
-
 impl Snapshot {
     /// Encodes the snapshot as `magic + [len][crc][payload]`.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
         w.put_u64(self.clock);
-        w.put_u64(self.stable);
-        w.put_u64(self.floor_ts);
-        put_dot(&mut w, self.floor_dot);
+        put_floors(&mut w, &self.floors);
         w.put_u64(self.next_dot_seq);
         w.put_u64(self.executed_count);
         put_pairs(&mut w, &self.kv);
@@ -113,6 +120,7 @@ impl Snapshot {
         for q in &self.queued {
             put_dot(&mut w, q.dot);
             w.put_u64(q.ts);
+            w.put_u8(u8::from(q.stable));
             w.put_u32(q.waits.len() as u32);
             for shard in &q.waits {
                 w.put_u64(*shard);
@@ -141,9 +149,7 @@ impl Snapshot {
         let (payload, _end) = read_frame(bytes, SNAPSHOT_MAGIC.len())?;
         let mut r = Reader::new(payload);
         let clock = r.u64()?;
-        let stable = r.u64()?;
-        let floor_ts = r.u64()?;
-        let floor_dot = get_dot(&mut r)?;
+        let floors = get_floors(&mut r)?;
         let next_dot_seq = r.u64()?;
         let executed_count = r.u64()?;
         let kv = get_pairs(&mut r)?;
@@ -152,6 +158,11 @@ impl Snapshot {
         for _ in 0..n {
             let dot = get_dot(&mut r)?;
             let ts = r.u64()?;
+            let stable = match r.u8()? {
+                0 => false,
+                1 => true,
+                _ => return Err(DecodeError::Invalid("queued stable flag")),
+            };
             let w = r.u32()?;
             let mut waits = Vec::with_capacity(w as usize);
             for _ in 0..w {
@@ -163,6 +174,7 @@ impl Snapshot {
                 ts,
                 cmd,
                 waits,
+                stable,
             });
         }
         let n = r.u32()?;
@@ -178,9 +190,7 @@ impl Snapshot {
         let watermarks = get_pairs(&mut r)?;
         Ok(Self {
             clock,
-            stable,
-            floor_ts,
-            floor_dot,
+            floors,
             next_dot_seq,
             executed_count,
             kv,
@@ -200,9 +210,7 @@ mod tests {
     fn sample() -> Snapshot {
         Snapshot {
             clock: 200,
-            stable: 150,
-            floor_ts: 149,
-            floor_dot: Dot::new(2, 31),
+            floors: vec![(0, 149, Dot::new(2, 31)), (42, 120, Dot::new(1, 7))],
             next_dot_seq: 40,
             executed_count: 120,
             kv: vec![(0, 55), (42, 7)],
@@ -215,6 +223,7 @@ mod tests {
                     8,
                 ),
                 waits: vec![1],
+                stable: true,
             }],
             accepts: vec![AcceptState {
                 dot: Dot::new(3, 2),

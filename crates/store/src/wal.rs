@@ -310,11 +310,10 @@ pub enum WalRecord {
         /// The attesting shard.
         shard: ShardId,
     },
-    /// The stability watermark (Theorem 1) advanced to `ts`. Interleaved with `Commit`
-    /// records in append order, this lets replay re-execute exactly the prefix that
-    /// executed before the crash — execution order is deterministic given commits and
-    /// watermark advances — so a recovered replica's applied image matches its
-    /// pre-crash image without waiting for peers.
+    /// The commit-gated stability watermark (Theorem 1) advanced to `ts`. No longer
+    /// written — the execution stage is released command by command
+    /// ([`WalRecord::KeyStable`]) — but still decoded, so logs of earlier versions
+    /// open; replay ignores it.
     Stable(u64),
     /// The replica may have used dot sequences up to this value and must generate
     /// future dots strictly above it. Like [`WalRecord::ClockFloor`], floors are
@@ -323,6 +322,13 @@ pub enum WalRecord {
     /// uniqueness after store-backed restarts independent of the incarnation bands
     /// (`incarnation << 48`) that diskless rejoins rely on.
     DotFloor(u64),
+    /// The command became stable on its keys: its timestamp is at or below the
+    /// receipt-fed watermark and no known-uncommitted command on its keys holds a
+    /// proposal at or below it (DESIGN.md §3). Interleaved with `Commit` and
+    /// `SiblingStable` records in append order, these are exactly the events the
+    /// execution stage was fed, so replay re-executes the pre-crash executed set —
+    /// execution is deterministic given them — without waiting for peers.
+    KeyStable(Dot),
 }
 
 const TAG_CLOCK_FLOOR: u8 = 1;
@@ -332,6 +338,7 @@ const TAG_COMMIT: u8 = 4;
 const TAG_SIBLING_STABLE: u8 = 5;
 const TAG_STABLE: u8 = 6;
 const TAG_DOT_FLOOR: u8 = 7;
+const TAG_KEY_STABLE: u8 = 8;
 
 impl WalRecord {
     /// Encodes the record payload (tag + fields, no frame).
@@ -381,6 +388,10 @@ impl WalRecord {
                 w.put_u8(TAG_DOT_FLOOR);
                 w.put_u64(*floor);
             }
+            WalRecord::KeyStable(dot) => {
+                w.put_u8(TAG_KEY_STABLE);
+                put_dot(&mut w, *dot);
+            }
         }
         w.into_bytes()
     }
@@ -421,6 +432,7 @@ impl WalRecord {
             },
             TAG_STABLE => WalRecord::Stable(r.u64()?),
             TAG_DOT_FLOOR => WalRecord::DotFloor(r.u64()?),
+            TAG_KEY_STABLE => WalRecord::KeyStable(get_dot(&mut r)?),
             t => return Err(DecodeError::BadTag(t)),
         };
         Ok(record)
@@ -535,6 +547,7 @@ mod tests {
             },
             WalRecord::Stable(5),
             WalRecord::DotFloor(96),
+            WalRecord::KeyStable(Dot::new(1, 1)),
         ]
     }
 
@@ -596,6 +609,16 @@ mod tests {
         assert_eq!(
             bytes,
             vec![7, 0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01]
+        );
+    }
+
+    #[test]
+    fn key_stable_pins_its_byte_encoding() {
+        // Tag 8 + the dot as two u64 LE; pinned so the WAL format cannot drift silently.
+        let bytes = WalRecord::KeyStable(Dot::new(3, 0x0102)).encode();
+        assert_eq!(
+            bytes,
+            vec![8, 3, 0, 0, 0, 0, 0, 0, 0, 0x02, 0x01, 0, 0, 0, 0, 0, 0]
         );
     }
 

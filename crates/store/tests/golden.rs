@@ -1,7 +1,7 @@
 //! Golden-file and torn-write tests for the WAL/snapshot encoding.
 //!
 //! The checked-in fixtures under `tests/golden/` pin the exact on-disk byte format:
-//! `wal_v1.bin` is a complete WAL stream and `snapshot_v1.bin` a complete snapshot
+//! `wal_v1.bin` is a complete WAL stream and `snapshot_v2.bin` a complete snapshot
 //! stream, both produced by [`golden_records`]/[`golden_snapshot`]. If an encoding
 //! change is intentional, bump the stream magic and regenerate the fixtures with
 //! `cargo test -p tempo-store --test golden -- --ignored regenerate`.
@@ -51,16 +51,19 @@ fn golden_records() -> Vec<WalRecord> {
         // Appended in PR 5 (tag 7, new record — existing encodings unchanged, so the
         // magic stays at v1 and the fixture was regenerated with this record at the end).
         WalRecord::DotFloor(67),
+        // Appended with per-key stability (tag 8, new record — existing encodings
+        // unchanged, so the magic stays at v1 and the fixture was regenerated with this
+        // record at the end).
+        WalRecord::KeyStable(Dot::new(2, 9)),
     ]
 }
 
-/// The snapshot frozen in `tests/golden/snapshot_v1.bin`.
+/// The snapshot frozen in `tests/golden/snapshot_v2.bin` (v2: per-key floors and the
+/// queued entries' stability flag).
 fn golden_snapshot() -> Snapshot {
     Snapshot {
         clock: 128,
-        stable: 9,
-        floor_ts: 9,
-        floor_dot: Dot::new(1, 2),
+        floors: vec![(1, 9, Dot::new(1, 2)), (42, 5, Dot::new(0, 1))],
         next_dot_seq: 3,
         executed_count: 2,
         kv: vec![(1, 2), (42, 7)],
@@ -69,6 +72,7 @@ fn golden_snapshot() -> Snapshot {
             ts: 13,
             cmd: Command::single(Rifl::new(2, 2), 0, 0, KVOp::Add(1), 0),
             waits: vec![],
+            stable: true,
         }],
         accepts: vec![AcceptState {
             dot: Dot::new(2, 9),
@@ -114,7 +118,7 @@ fn golden_wal_fixture_matches_the_current_encoder() {
 
 #[test]
 fn golden_snapshot_fixture_roundtrips() {
-    let bytes = std::fs::read(fixture_path("snapshot_v1.bin")).expect("fixture present");
+    let bytes = std::fs::read(fixture_path("snapshot_v2.bin")).expect("fixture present");
     assert_eq!(
         Snapshot::decode(&bytes).expect("decodes"),
         golden_snapshot()
@@ -122,7 +126,7 @@ fn golden_snapshot_fixture_roundtrips() {
     assert_eq!(
         golden_snapshot().encode(),
         bytes,
-        "snapshot encoding drifted from the v1 fixture — bump the magic and regenerate"
+        "snapshot encoding drifted from the v2 fixture — bump the magic and regenerate"
     );
 }
 
@@ -230,5 +234,5 @@ fn backends_share_the_encoding() {
 fn regenerate() {
     std::fs::create_dir_all(fixture_path("")).unwrap();
     std::fs::write(fixture_path("wal_v1.bin"), golden_wal_stream()).unwrap();
-    std::fs::write(fixture_path("snapshot_v1.bin"), golden_snapshot().encode()).unwrap();
+    std::fs::write(fixture_path("snapshot_v2.bin"), golden_snapshot().encode()).unwrap();
 }

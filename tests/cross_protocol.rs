@@ -6,6 +6,7 @@ use tempo_caesar::Caesar;
 use tempo_core::Tempo;
 use tempo_fpaxos::FPaxos;
 use tempo_janus::Janus;
+use tempo_kernel::metrics::Percentile;
 use tempo_kernel::Config;
 use tempo_planet::Planet;
 use tempo_sim::{run, CpuModel, RunReport, SimOpts};
@@ -147,4 +148,58 @@ fn tempo_fast_path_ratio_is_high_at_low_conflict() {
         "with f = 1 Tempo should always take the fast path (got {:.2})",
         report.fast_path_ratio()
     );
+}
+
+fn three_regions(conflict_rate: f64) -> (SimOpts, Config, Planet, ConflictWorkload) {
+    let opts = SimOpts {
+        clients_per_site: 4,
+        commands_per_client: 10,
+        record_history: true,
+        ..SimOpts::default()
+    };
+    (
+        opts,
+        Config::full(3, 1),
+        Planet::ec2_three_regions(),
+        ConflictWorkload::new(conflict_rate, 100, 1),
+    )
+}
+
+#[test]
+fn tempo_matches_atlas_p50_without_conflicts_on_three_regions() {
+    // Per-key stability: a command waits only for lower-timestamp commands on its own
+    // keys, so with no conflicts Tempo answers after its commit round trip — like Atlas
+    // — instead of after every concurrent command in the shard committed everywhere.
+    let (opts, config, planet, workload) = three_regions(0.0);
+    let tempo = run::<Tempo, _>(config, planet.clone(), opts.clone(), workload.clone());
+    let atlas = run::<Atlas, _>(config, planet, opts, workload);
+    assert!(!tempo.stalled && !atlas.stalled);
+    let tempo_p50 = tempo.percentile_ms(Percentile(50.0));
+    let atlas_p50 = atlas.percentile_ms(Percentile(50.0));
+    assert!(
+        (tempo_p50 - atlas_p50).abs() <= 10.0,
+        "Tempo p50 {tempo_p50:.1} ms vs Atlas p50 {atlas_p50:.1} ms"
+    );
+}
+
+#[test]
+fn tempo_on_one_key_passes_the_checker_with_one_order_everywhere() {
+    let (opts, config, planet, workload) = three_regions(1.0);
+    let report = run::<Tempo, _>(config, planet, opts, workload);
+    assert!(!report.stalled, "{}", report.summary());
+    assert_eq!(report.completed, 3 * 4 * 10, "{}", report.summary());
+    let history = report.history.expect("history recorded");
+    history.check().expect("history passes the checker");
+    // Every command accesses the same key, so the per-key order is the whole order:
+    // each replica's execution is a prefix of one sequence (the run ends once every
+    // client has its answer, which may leave a replica a few commands behind).
+    let orders: Vec<_> = (0..3).map(|p| history.executed_by(p)).collect();
+    let longest = orders
+        .iter()
+        .max_by_key(|o| o.len())
+        .expect("three replicas");
+    assert_eq!(longest.len(), 3 * 4 * 10);
+    for (p, order) in orders.iter().enumerate() {
+        assert_eq!(order[..], longest[..order.len()], "divergent order at {p}");
+    }
 }

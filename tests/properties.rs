@@ -8,9 +8,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 use tempo_atlas::DependencyGraph;
 use tempo_core::{PromiseRange, PromiseTracker, Tempo};
-use tempo_kernel::harness::LocalCluster;
+use tempo_kernel::harness::{per_key_order, LocalCluster};
 use tempo_kernel::id::{Dot, ProcessId, Rifl};
 use tempo_kernel::kvstore::KVStore;
+use tempo_kernel::protocol::Protocol;
 use tempo_kernel::rand::{Rng, Zipf};
 use tempo_kernel::{Command, Config, KVOp};
 
@@ -232,17 +233,26 @@ fn tempo_executes_all_commands_in_the_same_order_everywhere() {
         for _ in 0..5 {
             cluster.tick_all(5_000);
         }
-        let reference: Vec<Rifl> = cluster.executed(0).into_iter().map(|e| e.rifl).collect();
+        // Tempo orders the commands of each key; commands on different keys commute,
+        // so replicas must agree on every key's order and on the resulting store.
+        let executed = cluster.executed(0);
         assert_eq!(
-            reference.len() as u64,
+            executed.len() as u64,
             total,
             "seed {seed}: missing executions"
         );
+        let reference = per_key_order(&executed);
+        let digest = cluster.process(0).executor().store().digest();
         for p in 1..5u64 {
-            let order: Vec<Rifl> = cluster.executed(p).into_iter().map(|e| e.rifl).collect();
             assert_eq!(
-                order, reference,
-                "seed {seed}: divergent execution order at process {p}"
+                per_key_order(&cluster.executed(p)),
+                reference,
+                "seed {seed}: divergent per-key execution order at process {p}"
+            );
+            assert_eq!(
+                cluster.process(p).executor().store().digest(),
+                digest,
+                "seed {seed}: divergent store at process {p}"
             );
         }
     }

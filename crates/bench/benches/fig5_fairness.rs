@@ -82,9 +82,6 @@ fn main() {
         tempo2.mean_latency_ms(),
         atlas2.mean_latency_ms()
     );
-    println!("  note: this reproduction disseminates clock-bump promises only via the periodic");
-    println!("  MPromises broadcast, which adds up to one extra WAN hop of execution delay to");
-    println!("  Tempo compared to the authors' implementation (see EXPERIMENTS.md).");
     assert!(
         fpaxos_spread > tempo_spread,
         "FPaxos must be less fair than Tempo"

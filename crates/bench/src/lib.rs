@@ -1,11 +1,12 @@
 //! `tempo-bench` — shared helpers for the benchmark harnesses.
 //!
-//! Each table and figure of the paper's evaluation has a dedicated bench target under
-//! `benches/` (run them all with `cargo bench --workspace`). The harnesses are scaled
-//! down so the whole suite completes on a laptop: client counts and command counts are a
-//! fraction of the paper's, which lowers absolute throughput but preserves the *shape* of
-//! every comparison (who wins, by what factor, where crossovers happen). EXPERIMENTS.md
-//! records paper-vs-measured values for every experiment.
+//! The paper's measured figures (5–9) have bench targets under `benches/` (run them
+//! all with `cargo bench --workspace`), next to the runtime, load, chaos and trace
+//! benches. The exact examples (Figures 2–3, Tables 1–2, Appendix D) are unit tests
+//! of the crates they exercise. The harnesses are scaled down so the whole suite
+//! completes on a laptop: client counts and command counts are a fraction of the
+//! paper's, which lowers absolute throughput but preserves the *shape* of every
+//! comparison (who wins, by what factor, where crossovers happen).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -129,8 +129,8 @@ pub struct Tempo {
     clock: Clock,
     /// The commit-gated promise tracker (Algorithm 2): attached promises enter it only
     /// once their command commits locally (line 47). It is the only source of what
-    /// this process ships about promises — the `MPromises` frontier, `MRejoinAck`
-    /// prefixes, `MPromiseRepair` — and of the WAL `Stable` record.
+    /// this process ships about promises: the `MPromises` frontier, `MRejoinAck`
+    /// prefixes and `MPromiseRepair`.
     promises: PromiseTracker,
     /// Per-key stability detection over the receipt-fed promise tracker (everything the
     /// commit-gated one gets, plus each attached promise as soon as its command's
@@ -1832,27 +1832,31 @@ impl Tempo {
                     .get_mut(&dot)
                     .expect("stale dots have info")
                     .last_probe_us = now_us;
-                // Ask around for a commit outcome we might have missed.
-                let request = Message::MCommitRequest { dot };
-                let targets = self.shard_peers.clone();
-                self.send(&targets, request, now_us, out);
+                // Ask around for a commit outcome we might have missed: every replica
+                // of the command once its payload is known. A sibling shard's replica
+                // that committed knows the final timestamp, which this shard's recovery
+                // cannot re-decide when only the sibling's MCommit went missing.
+                let payload = has_payload.then(|| {
+                    let info = &self.info[&dot];
+                    (
+                        info.cmd.clone().expect("payload present"),
+                        info.quorums.clone(),
+                    )
+                });
+                let targets = match &payload {
+                    Some((cmd, _)) => self.all_replicas_of(cmd),
+                    None => self.shard_peers.to_vec(),
+                };
+                self.send(&targets, Message::MCommitRequest { dot }, now_us, out);
                 // Re-send the payload so that every replica can take part in recovery
                 // (Algorithm 6, line 77).
-                if has_payload {
-                    let (cmd, quorums) = {
-                        let info = &self.info[&dot];
-                        (
-                            info.cmd.clone().expect("payload present"),
-                            info.quorums.clone(),
-                        )
-                    };
-                    let payload = Message::MPayload {
-                        dot,
-                        cmd: cmd.clone(),
-                        quorums,
-                    };
-                    let targets = self.all_replicas_of(&cmd);
-                    self.send(&targets, payload, now_us, out);
+                if let Some((cmd, quorums)) = payload {
+                    self.send(
+                        &targets,
+                        Message::MPayload { dot, cmd, quorums },
+                        now_us,
+                        out,
+                    );
                 }
             }
             // If we are the shard leader and the command has been pending for long

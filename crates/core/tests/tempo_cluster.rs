@@ -5,12 +5,13 @@
 //! timestamp agreement (Property 1), ordering, the fast-path condition of Table 1, the
 //! stability examples of Figures 2-4 and the recovery protocol of §5.
 
-use tempo_core::{Message, Phase, PromiseRange, Quorums, Tempo, TempoOptions};
+use tempo_core::{Message, Phase, PromiseBundle, PromiseRange, Quorums, Tempo, TempoOptions};
 use tempo_kernel::config::Config;
+use tempo_kernel::driver::Driver;
 use tempo_kernel::harness::{per_key_order, LocalCluster};
 use tempo_kernel::id::{Dot, ProcessId, Rifl};
 use tempo_kernel::kvstore::KVStore;
-use tempo_kernel::protocol::{Action, Protocol};
+use tempo_kernel::protocol::{Action, Protocol, View};
 use tempo_kernel::rand::Rng;
 use tempo_kernel::{Command, KVOp};
 
@@ -314,6 +315,32 @@ fn replicated_state_machines_converge() {
 }
 
 #[test]
+fn appendix_d_round_robin_conflicts_all_execute() {
+    // Appendix D: three processes keep proposing conflicting commands round-robin
+    // (A: 1,4,7..., B: 2,5,8..., C: 3,6,9...), with only a few deliveries between
+    // rounds. The pattern that keeps Caesar from committing and EPaxos from executing
+    // (see `tempo-atlas`'s graph tests) lets Tempo execute every command.
+    const ROUNDS: u64 = 20;
+    let config = Config::full(3, 1);
+    let mut cluster = LocalCluster::<Tempo>::new(config);
+    for seq in 1..=ROUNDS {
+        for p in 0..3u64 {
+            cluster.submit_no_deliver(p, Command::single(rifl(p, seq), 0, 0, KVOp::Add(1), 0));
+        }
+        for _ in 0..6 {
+            cluster.step();
+        }
+    }
+    cluster.run_to_quiescence();
+    for _ in 0..5 {
+        cluster.tick_all(5_000);
+    }
+    for p in cluster.process_ids() {
+        assert_eq!(cluster.executed(p).len() as u64, 3 * ROUNDS, "at {p}");
+    }
+}
+
+#[test]
 fn multi_shard_command_executes_at_both_shards() {
     // 2 shards over 3 sites; a command accessing both shards, submitted at site 0.
     let config = Config::new(3, 1, 2);
@@ -363,6 +390,62 @@ fn multi_shard_final_timestamp_is_max_of_shard_timestamps() {
     for _ in 0..4 {
         cluster.tick_all(5_000);
     }
+}
+
+#[test]
+fn stale_multi_shard_command_asks_the_sibling_shard_for_its_commit() {
+    // A shard-1 replica got shard 1's MCommit for a two-shard command but never shard
+    // 0's. Its own shard's recovery can only re-decide shard 1's timestamp, so the
+    // liveness probe must reach shard 0's replicas, whose MCommitInfo carries the final
+    // timestamp.
+    let config = Config::new(3, 1, 2);
+    let mut replica = Driver::<Tempo>::new(3, 1, config);
+    let _ = replica.start(View::trivial(config, 3), 0);
+    let dot = Dot::new(0, 1);
+    let cmd = Command::new(
+        rifl(1, 1),
+        vec![(0, 10, KVOp::Put(1)), (1, 20, KVOp::Put(2))],
+        0,
+    );
+    let quorums = Quorums::from([(0, vec![0, 1]), (1, vec![3, 4])]);
+    let _ = replica.handle(
+        0,
+        Message::MPayload {
+            dot,
+            cmd: cmd.clone(),
+            quorums,
+        },
+        0,
+    );
+    let _ = replica.handle(
+        4,
+        Message::MCommit {
+            dot,
+            shard: 1,
+            ts: 5,
+            promises: PromiseBundle::default(),
+        },
+        0,
+    );
+    assert_eq!(replica.protocol().committed_timestamp(dot), None);
+    // Past the probe timeout, the liveness scan asks around.
+    let now = TempoOptions::default().commit_request_timeout_us + 10_000;
+    let asked: Vec<ProcessId> = replica
+        .fire_due(now)
+        .sends
+        .into_iter()
+        .filter(|send| matches!(send.msg, Message::MCommitRequest { dot: d } if d == dot))
+        .flat_map(|send| send.to)
+        .collect();
+    for p in [0, 1, 2] {
+        assert!(
+            asked.contains(&p),
+            "shard-0 process {p} not asked: {asked:?}"
+        );
+    }
+    // A committed shard-0 replica answers with the final timestamp.
+    let _ = replica.handle(0, Message::MCommitInfo { dot, cmd, ts: 7 }, now);
+    assert_eq!(replica.protocol().committed_timestamp(dot), Some(7));
 }
 
 #[test]

@@ -16,7 +16,7 @@
 //!   identifier supplied by the caller so a driver can encode session slots into it.
 //!
 //! The pieces that *apply* this load to a cluster live in `tempo-runtime`
-//! (`LoadDriver`) and the WAN emulation lives in `tempo-net` (`PlanetTransport`);
+//! (`LoadDriver`) and the WAN emulation lives in `tempo-net` (`ChaosTransport`);
 //! the streaming histograms the driver records into are
 //! `tempo_kernel::metrics::LogHistogram`.
 

@@ -22,16 +22,16 @@
 //!   threads, reader threads feeding a single inbox, and lazy reconnection through a
 //!   shared address book so a restarted process (fresh listener, fresh port) is
 //!   reachable again without any coordination.
-//! * [`planet`] — [`PlanetTransport`], a wrapper over any transport that injects the
-//!   `tempo-planet` one-way region latencies (Table 2) on the receive path, so that
-//!   load and latency measurements run on real sockets across *emulated* wide-area
-//!   regions. Replicas and client endpoints both live in regions; see DESIGN.md §8.
-//! * [`chaos`] — [`ChaosTransport`], a wrapper over any transport that consumes the
-//!   *same* `tempo-fault::Nemesis` schedules the simulator runs: partitions and lossy
-//!   links drop frames at delivery, delay spikes hold them back, and the shared
-//!   [`ChaosNet`] clock tells the embedding runtime when to kill and restart whole
-//!   replica threads. What the sim injects at simulated instants, this injects at
-//!   wall-clock instants — same schedules, real concurrency.
+//! * [`chaos`] — [`ChaosTransport`], the emulated network over a TCP endpoint. The
+//!   shared [`ChaosNet`] holds an optional `tempo-planet` geography (Table 2's
+//!   one-way region latencies, charged to replicas and client endpoints alike; see
+//!   DESIGN.md §7) and an optional `tempo-fault::Nemesis` running the *same*
+//!   schedules as the simulator. Every arriving frame waits in one delay heap for
+//!   its region latency plus any spike, slow-node or reorder hold; partitions and
+//!   lossy links gate it at delivery; and the [`ChaosNet`] clock tells the
+//!   embedding runtime when to kill and restart whole replica threads. What the sim
+//!   injects at simulated instants, this injects at wall-clock instants — same
+//!   geography and schedules, real concurrency.
 //!
 //! What dies with what (the crash model): a process crash drops its endpoint, which
 //! closes every socket — unread peer data, queued writer blobs and inbox backlog are
@@ -44,13 +44,11 @@
 #![warn(missing_docs)]
 
 pub mod chaos;
-pub mod planet;
 pub mod tcp;
 pub mod transport;
 pub mod wire;
 
 pub use chaos::{ChaosNet, ChaosTransport};
-pub use planet::{PlanetNet, PlanetTransport};
 pub use tcp::{TcpMesh, TcpTransport};
 pub use transport::{RecvError, Transport, TransportStats, CLIENT_ID_BASE, CONTROL_ID};
 pub use wire::{ClientReply, ClientRequest, Wire, MAX_FRAME_LEN};

@@ -100,26 +100,6 @@ impl TransportStats {
     }
 }
 
-/// Boxed transports are transports, so delay/chaos shims (each generic over an inner
-/// `T: Transport`) can be stacked in any combination at runtime.
-impl Transport for Box<dyn Transport> {
-    fn local_id(&self) -> ProcessId {
-        (**self).local_id()
-    }
-    fn send(&mut self, to: ProcessId, payload: &[u8]) {
-        (**self).send(to, payload)
-    }
-    fn flush(&mut self) {
-        (**self).flush()
-    }
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<(ProcessId, Vec<u8>), RecvError> {
-        (**self).recv_timeout(timeout)
-    }
-    fn stats(&self) -> TransportStats {
-        (**self).stats()
-    }
-}
-
 /// One process's connected endpoint of the deployment mesh.
 pub trait Transport: Send {
     /// The transport id of this endpoint.

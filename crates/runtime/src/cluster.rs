@@ -24,7 +24,7 @@
 //!   [`RuntimeFactory`] (a factory that reopens the replica's `FileStore` directory
 //!   models the disk surviving the crash), whose rejoin handshake and state transfer
 //!   then run over the real transport. Link-level faults are enforced inside
-//!   [`ChaosTransport`] on the delivery path.
+//!   [`ChaosTransport`] on the delivery path, together with the WAN geography.
 //! * **Failure detection.** With [`NetOpts::detector`], the oracle broadcasts are
 //!   disabled and each replica runs a `tempo-fault` failure detector instead:
 //!   heartbeat beacons cross the same chaos-afflicted transport as protocol traffic,
@@ -44,8 +44,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tempo_fault::{
-    closest_live, DetectorOpts, DetectorStats, FaultEvent, FaultSummary, History, NemesisSchedule,
-    Notice, Replica, Watch,
+    closest_live, DetectorOpts, DetectorStats, FaultEvent, FaultSummary, History, Nemesis,
+    NemesisSchedule, Notice, Replica, Watch,
 };
 use tempo_kernel::command::{Command, Key};
 use tempo_kernel::config::Config;
@@ -57,8 +57,8 @@ use tempo_kernel::protocol::{Protocol, ProtocolMetrics, View};
 use tempo_kernel::trace::{CmdPhase, ProcEvent, TraceLog, Tracer, DEFAULT_TRACE_CAPACITY};
 use tempo_net::wire::{DecodeError, Reader, Wire, Writer};
 use tempo_net::{
-    ChaosNet, ChaosTransport, ClientReply, ClientRequest, PlanetNet, PlanetTransport, RecvError,
-    TcpMesh, Transport, TransportStats, CLIENT_ID_BASE, CONTROL_ID,
+    ChaosNet, ChaosTransport, ClientReply, ClientRequest, RecvError, TcpMesh, Transport,
+    TransportStats, CLIENT_ID_BASE, CONTROL_ID,
 };
 use tempo_planet::Planet;
 use tempo_workload::Workload;
@@ -87,7 +87,7 @@ pub struct NetOpts {
     pub client_timeout: Duration,
     /// WAN emulation: with a [`Planet`], every endpoint (replica *and* client) is
     /// placed in its site's region, frames are held back by the matrix's one-way
-    /// latencies ([`PlanetTransport`]), and replicas sort their quorum views by
+    /// latencies ([`ChaosTransport`]), and replicas sort their quorum views by
     /// geographic distance (`Planet::view_for`) instead of ring order — so fig6/fig7
     /// measurements run on real sockets across emulated regions.
     pub planet: Option<Planet>,
@@ -472,7 +472,6 @@ fn route_output<P: Protocol>(
 fn supervisor_loop<P>(
     chaos: Arc<ChaosNet>,
     mesh: TcpMesh,
-    planet: Option<Arc<PlanetNet>>,
     shared: Arc<Shared>,
     seats: Arc<Mutex<BTreeMap<ProcessId, Seat>>>,
     dead: Arc<Mutex<Vec<ReplicaExit>>>,
@@ -526,7 +525,7 @@ fn supervisor_loop<P>(
                     let incarnation = *incarnation;
                     let shard = shared.membership.shard_of(p);
                     let protocol = factory(p, shard, shared.config, incarnation);
-                    let transport = make_transport(&mesh, Some(&chaos), planet.as_ref(), p, batch)
+                    let transport = make_transport(&mesh, Some(&chaos), p, batch)
                         .expect("bind restarted replica endpoint");
                     // The restarted incarnation is seeded with the oracle's knowledge
                     // of who else is down — only in oracle mode; a detector-mode
@@ -580,21 +579,18 @@ fn broadcast_control(
     control.flush();
 }
 
+/// A TCP endpoint, behind the emulated network when the cluster has one.
 fn make_transport(
     mesh: &TcpMesh,
-    chaos: Option<&Arc<ChaosNet>>,
-    planet: Option<&Arc<PlanetNet>>,
+    net: Option<&Arc<ChaosNet>>,
     id: ProcessId,
     batch: bool,
 ) -> std::io::Result<Box<dyn Transport>> {
-    let mut transport: Box<dyn Transport> = Box::new(mesh.endpoint(id, batch)?);
-    if let Some(net) = planet {
-        transport = Box::new(PlanetTransport::new(transport, Arc::clone(net)));
-    }
-    if let Some(net) = chaos {
-        transport = Box::new(ChaosTransport::new(transport, Arc::clone(net)));
-    }
-    Ok(transport)
+    let endpoint = mesh.endpoint(id, batch)?;
+    Ok(match net {
+        Some(net) => Box::new(ChaosTransport::new(endpoint, Arc::clone(net))),
+        None => Box::new(endpoint),
+    })
 }
 
 // -------------------------------------------------------------------- cluster
@@ -605,8 +601,8 @@ fn make_transport(
 pub struct NetCluster {
     pub(crate) shared: Arc<Shared>,
     mesh: TcpMesh,
-    planet_net: Option<Arc<PlanetNet>>,
-    chaos: Option<Arc<ChaosNet>>,
+    /// The emulated network (geography and/or nemesis), when `NetOpts` asked for one.
+    net: Option<Arc<ChaosNet>>,
     seats: Arc<Mutex<BTreeMap<ProcessId, Seat>>>,
     dead: Arc<Mutex<Vec<ReplicaExit>>>,
     supervisor: Option<JoinHandle<()>>,
@@ -663,14 +659,6 @@ impl NetCluster {
     {
         let membership = Membership::from_config(&config);
         let mesh = TcpMesh::new();
-        let chaos = opts
-            .nemesis
-            .clone()
-            .map(|schedule| Arc::new(ChaosNet::new(schedule, opts.seed)));
-        let epoch = chaos
-            .as_ref()
-            .map(|c| c.epoch())
-            .unwrap_or_else(Instant::now);
         if let Some(planet) = &opts.planet {
             assert!(
                 planet.len() >= membership.sites(),
@@ -679,13 +667,15 @@ impl NetCluster {
                 membership.sites()
             );
         }
-        let planet_net = opts.planet.as_ref().map(|planet| {
-            let net = Arc::new(PlanetNet::new(planet.clone()));
+        let net = (opts.planet.is_some() || opts.nemesis.is_some()).then(|| {
+            let nemesis = opts.nemesis.clone().map(|s| Nemesis::new(s, opts.seed));
+            let net = Arc::new(ChaosNet::new(opts.planet.clone(), nemesis));
             for id in membership.all_processes() {
                 net.register(id, membership.site_of(id));
             }
             net
         });
+        let epoch = net.as_ref().map_or_else(Instant::now, |n| n.epoch());
         let tracers = if opts.trace {
             membership
                 .all_processes()
@@ -714,17 +704,15 @@ impl NetCluster {
         for id in membership.all_processes() {
             let shard = membership.shard_of(id);
             let protocol = factory(id, shard, config, 0);
-            let transport =
-                make_transport(&mesh, chaos.as_ref(), planet_net.as_ref(), id, opts.batch)?;
+            let transport = make_transport(&mesh, net.as_ref(), id, opts.batch)?;
             let seat = spawn_replica(protocol, transport, 0, Vec::new(), Arc::clone(&shared));
             seats.lock().expect("seats lock").insert(id, seat);
         }
         let dead = Arc::new(Mutex::new(Vec::new()));
         let done = Arc::new(AtomicBool::new(false));
-        let supervisor = chaos.as_ref().map(|net| {
+        let supervisor = net.as_ref().filter(|_| opts.nemesis.is_some()).map(|net| {
             let net = Arc::clone(net);
             let mesh = mesh.clone();
-            let planet = planet_net.clone();
             let shared = Arc::clone(&shared);
             let seats = Arc::clone(&seats);
             let dead = Arc::clone(&dead);
@@ -733,15 +721,14 @@ impl NetCluster {
             std::thread::Builder::new()
                 .name("supervisor".to_string())
                 .spawn(move || {
-                    supervisor_loop(net, mesh, planet, shared, seats, dead, done, factory, batch)
+                    supervisor_loop(net, mesh, shared, seats, dead, done, factory, batch)
                 })
                 .expect("spawn supervisor thread")
         });
         Ok(NetCluster {
             shared,
             mesh,
-            planet_net,
-            chaos,
+            net,
             seats,
             dead,
             supervisor,
@@ -769,9 +756,9 @@ impl NetCluster {
         Some(fold.finish())
     }
 
-    /// Builds a client-side transport endpoint colocated with `site`: planet-wrapped
-    /// (clients live in regions too) but chaos-exempt, like the simulator's client
-    /// bookkeeping. Shared by [`ClientSession`] and the load driver's pumps.
+    /// Builds a client-side transport endpoint colocated with `site`: delayed by the
+    /// geography (clients live in regions too) but exempt from the nemesis, like the
+    /// simulator's client bookkeeping. Shared by [`ClientSession`] and the load driver's pumps.
     pub(crate) fn client_transport(
         &self,
         site: SiteId,
@@ -782,10 +769,10 @@ impl NetCluster {
             "site out of range"
         );
         let id = CLIENT_ID_BASE + client;
-        if let Some(net) = &self.planet_net {
+        if let Some(net) = &self.net {
             net.register(id, site);
         }
-        make_transport(&self.mesh, None, self.planet_net.as_ref(), id, true)
+        make_transport(&self.mesh, self.net.as_ref(), id, true)
     }
 
     /// Opens a client session colocated with `site`. Commands submitted through it
@@ -824,7 +811,7 @@ impl NetCluster {
             transport.merge(stats);
             detector.merge(det);
         }
-        let mut faults = self.chaos.as_ref().map(|c| c.summary()).unwrap_or_default();
+        let mut faults = self.net.as_ref().map(|n| n.summary()).unwrap_or_default();
         // Frames the transport layer discarded because their destination incarnation
         // had been replaced are crash casualties: count them where the simulator
         // counts frames lost to a crashed process.

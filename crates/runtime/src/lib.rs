@@ -21,8 +21,8 @@
 //!   recorded [`History`](tempo_fault::History) feeds the same `tempo-fault` checker
 //!   the sim runs. See DESIGN.md §7 for the networking model. With a
 //!   [`Planet`](tempo_planet::Planet) in [`NetOpts`], the whole deployment runs
-//!   across emulated wide-area regions (latency injection on every endpoint,
-//!   geographic quorum views).
+//!   across emulated wide-area regions: the same `ChaosTransport` charges every
+//!   endpoint its region latency, and quorum views become geographic.
 //! * [`run_load`] — the open-loop load driver over a [`NetCluster`]: seeded arrival
 //!   schedules from `tempo-load`, thousands of logical sessions over a few sockets,
 //!   tail latency measured from intended arrival times (DESIGN.md §8).

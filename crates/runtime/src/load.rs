@@ -14,8 +14,8 @@
 //!
 //! # Anatomy
 //!
-//! * **Pumps.** `sites × sockets_per_site` pump threads, each owning one
-//!   planet-wrapped client transport endpoint (see DESIGN.md §8) and an equal slice
+//! * **Pumps.** `sites × sockets_per_site` pump threads, each owning one client
+//!   transport endpoint in its site's region (DESIGN.md §7) and an equal slice
 //!   of the offered rate and of the session budget. A pump is an event loop over
 //!   three queues: the arrival schedule, a backlog of due-but-unsubmitted intended
 //!   arrival times, and a fixed slab of session slots.
